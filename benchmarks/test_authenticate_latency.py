@@ -1,8 +1,9 @@
 """Perf-regression smoke test for the authenticate hot path.
 
 Runs the same harness as ``scripts/bench_authenticate.py`` under
-pytest-benchmark: warm staged vs fused single-probe latency
-(interleaved per iteration), batch vs loop, and the cross-user
+pytest-benchmark: warm staged (``auth.pipeline.run``) vs fused
+(``auth.authenticate``) single-probe latency, interleaved per
+iteration; the staged batch vs a fused loop; and the cross-user
 registry batch. The asserted floors are deliberately far below the
 measured numbers (fused ~1.7x staged and well under 10 ms p50 in full
 mode on an idle core) so the test flags genuine regressions, not CI

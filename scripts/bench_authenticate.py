@@ -5,21 +5,22 @@ Five sections, all on paper-shaped probes (4 PPG channels, ~5 s at
 100 Hz):
 
 - ``single`` — one warm probe through the staged engine
-  (``P2Auth.authenticate``) and the fused engine
-  (``P2Auth.authenticate_fast``), interleaved within every iteration so
+  (``P2Auth.pipeline.run``) and the fused engine
+  (``P2Auth.authenticate``), interleaved within every iteration so
   CPU-frequency drift cancels instead of biasing one side; p50/p95/p99
   per path and the decision-equality flag.
 - ``cold`` — the price of the first call: a cold start (empty SG /
-  detrend / kernel-plan caches, fresh scratch buffers) versus calling
-  :meth:`P2Auth.warmup` first and then authenticating.
+  detrend / kernel-plan caches, empty per-thread scratch buffers)
+  versus calling :meth:`P2Auth.warmup` first and then authenticating.
 - ``stages`` — the per-stage wall-time budget from ``profile=True``
   (median over the run), the observability face of the same numbers.
-- ``batch`` — ``P2Auth.authenticate_many`` versus an authenticate()
-  loop at batch sizes 1/4/16/64, with the batch==loop parity flag.
+- ``batch`` — ``P2Auth.authenticate_many`` (the staged engine, batched)
+  versus a loop of fused authenticate() calls at batch sizes
+  1/4/16/64, with the batch==loop parity flag.
 - ``registry`` — cross-user batching: ``ModelRegistry
   .authenticate_many`` over mixed probes of three enrolled users
   versus a get()+authenticate() loop (one C-kernel transform call for
-  the whole batch versus one per probe).
+  the whole batch versus one fused call per probe).
 
 The headline numbers are ``single.speedup_fused`` (staged p50 over
 fused p50) and ``single.fused.p50_ms`` — the acceptance gate wants
@@ -53,6 +54,7 @@ from repro.core import (  # noqa: E402
     ModelRegistry,
     P2Auth,
 )
+from repro.core.hotpath import clear_thread_buffers  # noqa: E402
 from repro.data import StudyData, ThirdPartyStore  # noqa: E402
 from repro.features import c_kernel_available  # noqa: E402
 from repro.signal.detrend import clear_detrend_cache  # noqa: E402
@@ -98,10 +100,10 @@ def _reset_cold(auth) -> None:
 
     Clears every cache :meth:`P2Auth.warmup` would prime — SG
     coefficients, detrend factorizations, the marshalled kernel plans —
-    and discards the fused pipeline so its scratch buffers and warmup
-    flags are rebuilt. (The compiled .so itself stays on disk: a real
-    service restart reuses it too, so evicting it would overstate the
-    cold cost.)
+    and the calling thread's shared scratch buffers and feature rows,
+    and discards the fused pipeline so its warmup flags are rebuilt.
+    (The compiled .so itself stays on disk: a real service restart
+    reuses it too, so evicting it would overstate the cold cost.)
     """
     clear_detrend_cache()
     clear_savgol_cache()
@@ -110,20 +112,25 @@ def _reset_cold(auth) -> None:
         rocket = getattr(model, "_rocket", None)
         if rocket is not None:
             rocket._plan = None
+    clear_thread_buffers()
     auth._hot_pipeline = None
 
 
 def bench_single(auth, probe, repeats: int):
     """Warm staged vs fused on one probe, interleaved per iteration."""
     auth.warmup([probe.recording.n_samples])
-    staged_ref = auth.authenticate(probe)
-    fused_ref = auth.authenticate_fast(probe)
+
+    def staged_run(trial):
+        return auth.pipeline.run([trial], [True])[0]
+
+    staged_ref = staged_run(probe)
+    fused_ref = auth.authenticate(probe)
 
     staged_times, fused_times = [], []
     for i in range(repeats):
         # Alternate which path goes first so a frequency ramp mid-run
         # penalises both paths equally.
-        order = (("staged", auth.authenticate), ("fused", auth.authenticate_fast))
+        order = (("staged", staged_run), ("fused", auth.authenticate))
         if i % 2:
             order = order[::-1]
         for name, fn in order:
@@ -150,7 +157,7 @@ def bench_cold(auth, probe):
 
     _reset_cold(auth)
     start = time.perf_counter()
-    cold_decision = auth.authenticate_fast(probe)
+    cold_decision = auth.authenticate(probe)
     cold_first_ms = (time.perf_counter() - start) * 1e3
 
     _reset_cold(auth)
@@ -158,7 +165,7 @@ def bench_cold(auth, probe):
     auth.warmup([n])
     warmup_ms = (time.perf_counter() - start) * 1e3
     start = time.perf_counter()
-    warm_decision = auth.authenticate_fast(probe)
+    warm_decision = auth.authenticate(probe)
     warm_first_ms = (time.perf_counter() - start) * 1e3
 
     return {
@@ -184,7 +191,7 @@ def bench_stages(auth, probe, repeats: int):
 
 
 def bench_batches(auth, probes, sizes, repeats: int):
-    """authenticate_many vs an authenticate() loop per batch size."""
+    """Staged authenticate_many vs a fused authenticate() loop per size."""
     auth.warmup([t.recording.n_samples for t in probes])
     out = {}
     for size in sizes:

@@ -4,9 +4,10 @@ The workflow of Fig. 4, end to end: preprocessing (`pipeline`), input
 case identification (`input_case`), privacy-boost waveform fusion
 (`fusion`), PIN verification (`pin`), enrollment (`enrollment`, a
 façade over the `models` / `negatives` / `enroll` split),
-authentication through the staged engine (`stages`), the
-:class:`P2Auth` facade (`authenticator`), the multi-user
-:class:`ModelRegistry` (`registry`), and the attack models (`attacks`).
+authentication through the fused single-probe engine (`hotpath`) and
+the staged batch engine (`stages`), the :class:`P2Auth` facade
+(`authenticator`), the multi-user :class:`ModelRegistry` (`registry`),
+and the attack models (`attacks`).
 """
 
 from .attacks import EmulatingAttacker, RandomAttacker
@@ -14,7 +15,6 @@ from .authentication import AuthDecision, authenticate_preprocessed
 from .authenticator import P2Auth
 from .backends import PackedArenaBackend, ShardedPackedBackend
 from .degradation import DegradationEvent, DegradationPolicy, apply_policy
-from .hotpath import HotAuthPipeline
 from .packing import (
     PackedAuthenticator,
     pack_authenticator,
@@ -93,7 +93,6 @@ __all__ = [
     "FeatureBlock",
     "Features",
     "FeaturizeStage",
-    "HotAuthPipeline",
     "ModelRegistry",
     "NegativeBank",
     "NpzDirectoryBackend",

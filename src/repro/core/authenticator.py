@@ -8,11 +8,14 @@ authentication with results integration. A typical session::
     auth.enroll(my_trials, third_party_trials)
     decision = auth.authenticate(probe_trial)
 
-Since the stage refactor, P2Auth holds no pipeline logic of its own: it
-verifies the PIN and hands the probe to a cached
-:class:`~repro.core.stages.AuthPipeline` — the same stage objects that
-drive the session manager, the streaming front-end, and the evaluation
-harness.
+P2Auth holds no pipeline logic of its own: it verifies the PIN and
+hands a single probe to a cached fused
+:class:`~repro.core.hotpath.HotAuthPipeline` — the engine behind the
+registry, the session manager, the streaming front-end and the HTTP
+service. Batches (:meth:`P2Auth.authenticate_many`), the evaluation
+harness's preprocessed path, ``profile=True`` and the parity suite use
+the staged :class:`~repro.core.stages.AuthPipeline`; both engines
+return bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ class P2Auth:
 
     @property
     def pipeline(self) -> AuthPipeline:
-        """The staged engine this authenticator runs (raises before
-        enrollment). Rebuilt automatically when the models change
+        """The staged engine behind batches and ``profile=True`` (raises
+        before enrollment). Rebuilt automatically when the models change
         (re-enrollment, archive load)."""
         # Double-checked lazy build: the unlocked read is safe because
         # assignment publishes a fully constructed pipeline atomically.
@@ -147,7 +150,8 @@ class P2Auth:
 
     @property
     def hot_pipeline(self) -> HotAuthPipeline:
-        """The fused low-latency engine (raises before enrollment).
+        """The fused engine behind :meth:`authenticate` (raises before
+        enrollment).
 
         Bit-identical to :attr:`pipeline` decision-for-decision; rebuilt
         automatically when the models change, like the staged one.
@@ -237,11 +241,20 @@ class P2Auth:
     ) -> AuthDecision:
         """Authenticate one PIN-entry trial.
 
+        Runs the fused :class:`~repro.core.hotpath.HotAuthPipeline`: no
+        intermediate stage artifacts, per-thread scratch buffers shared
+        across users, and the pre-marshalled C-kernel call. Decisions
+        and exceptions are bit-identical to the staged
+        :attr:`pipeline` (pinned by ``tests/test_stage_parity.py``).
+        Call :meth:`warmup` first to keep one-off costs out of the
+        request; see ``docs/performance.md`` for the latency budget.
+
         Args:
             trial: the probe trial.
             claimed_pin: the PIN the typist entered; defaults to the
                 digits recorded in the trial.
-            profile: attach per-stage wall times to the decision
+            profile: run the staged engine instead and attach its
+                per-stage wall times to the decision
                 (``AuthDecision.stage_timings``); observability only,
                 the decision itself is unchanged.
 
@@ -253,28 +266,10 @@ class P2Auth:
                 trial is too damaged to score (gap beyond the repair
                 budget, too few usable channels, failed quality gate).
         """
-        return self.pipeline.run(
-            [trial], [self._pin_verdict(trial, claimed_pin)], profile=profile
-        )[0]
-
-    def authenticate_fast(
-        self,
-        trial: PinEntryTrial,
-        claimed_pin: Optional[str] = None,
-    ) -> AuthDecision:
-        """Authenticate one trial on the fused low-latency path.
-
-        Bit-identical to :meth:`authenticate` (same decision fields,
-        same exceptions — pinned by ``tests/test_stage_parity.py``) but
-        runs :class:`~repro.core.hotpath.HotAuthPipeline`: no
-        intermediate stage artifacts, preallocated scratch buffers, and
-        the pre-marshalled C-kernel call. Call :meth:`warmup` first to
-        keep one-off costs out of the request; see
-        ``docs/performance.md`` for the latency budget.
-        """
-        return self.hot_pipeline.authenticate(
-            trial, self._pin_verdict(trial, claimed_pin)
-        )
+        pin_ok = self._pin_verdict(trial, claimed_pin)
+        if profile:
+            return self.pipeline.run([trial], [pin_ok], profile=True)[0]
+        return self.hot_pipeline.authenticate(trial, pin_ok)
 
     def authenticate_many(
         self,
@@ -285,8 +280,8 @@ class P2Auth:
         """Authenticate a batch of probe trials in one pipeline pass.
 
         Decision-for-decision identical to calling :meth:`authenticate`
-        in a loop, but the preprocessing runs batched (shared-shape
-        trials detrend as one banded solve).
+        in a loop, but runs the staged engine with the preprocessing
+        batched (shared-shape trials detrend as one banded solve).
 
         Args:
             trials: the probe trials.

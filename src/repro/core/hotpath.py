@@ -1,8 +1,12 @@
-"""The fused single-probe authentication hot path (ROADMAP item 3).
+"""The fused single-probe authentication engine.
 
-:class:`HotAuthPipeline` runs the same Fig. 4 sequence as the staged
-:class:`~repro.core.stages.AuthPipeline`, but composed for per-probe
-latency instead of batch throughput:
+:class:`HotAuthPipeline` is what :meth:`P2Auth.authenticate
+<repro.core.authenticator.P2Auth.authenticate>` runs, and through it
+the registry, session manager, streaming front-end and HTTP service.
+It runs the same Fig. 4 sequence as the staged
+:class:`~repro.core.stages.AuthPipeline` (which keeps serving batches,
+the eval path, ``profile=True`` and the parity suite), but composed
+for per-probe latency instead of batch throughput:
 
 - **No intermediate artifacts.** The staged engine materializes a
   ``Recording → Repaired → Preprocessed → Segments → Features → Scores``
@@ -10,11 +14,16 @@ latency instead of batch throughput:
   fused path calls the same underlying stage functions back to back and
   keeps everything in locals.
 - **Preallocated scratch buffers.** The median-filter network, the
-  detrended channels, and the per-model feature rows are written into
-  buffers owned by the pipeline and reused across calls (keyed by
-  signal shape, small LRU, one set per thread via ``threading.local``).
-  Decisions carry only scalars, strings, and tuples, so nothing the
-  caller sees aliases the scratch.
+  detrended channels, and the feature rows are written into buffers
+  that are reused across calls. They live in one module-level
+  ``threading.local``: each thread owns one set, shared by every
+  pipeline (every user) that runs on it, keyed by the layout each
+  buffer depends on — ``(channels, n, median_kernel)`` for the
+  preprocessing scratch, the feature width for the rows. A thread runs
+  one call at a time, so sharing across users is safe, and a process
+  serving many users holds one buffer set per thread instead of one
+  per (user, thread) pair. Decisions carry only scalars, strings, and
+  tuples, so nothing the caller sees aliases the scratch.
 - **Cheaper-but-identical kernels.** The 5-point median runs as a
   min/max selection network, the Savitzky-Golay smoothing reuses cached
   FIR coefficients, the calibration extreme-point search is vectorized,
@@ -24,8 +33,9 @@ latency instead of batch throughput:
   ``tests/test_stage_parity.py``.
 - **Explicit warmup.** :meth:`warmup` pays every one-off cost — the
   C-kernel compile/load, the banded-Cholesky factorization, the SG
-  coefficients, buffer allocation — so no first-call work sits in the
-  request path. Warming changes latency only, never results.
+  coefficients — so no first-call work sits in the request path. The
+  shared buffers are allocated by a thread's first call for each
+  layout. Warming changes latency only, never results.
 
 The parity contract: for any probe and PIN verdict,
 ``HotAuthPipeline.authenticate`` returns an ``AuthDecision`` whose
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -66,14 +76,18 @@ from .models import (
 )
 from .pipeline import PreprocessedTrial, _validate_probe
 
-#: Distinct ``(channels, n)`` signal shapes whose scratch buffers are
-#: kept alive at once; least-recently-used shapes are evicted beyond
-#: this (a probe stream has one shape, so eviction is the exception).
+#: Distinct layouts per buffer kind (scratch, feature rows) each thread
+#: keeps alive at once; least-recently-used layouts are evicted beyond
+#: this. Probe lengths vary with typing speed, so scratch misses are
+#: routine; each costs only a few small allocations.
 SCRATCH_SHAPES = 8
+
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 class _Scratch:  # concurrency: thread-hostile
-    """Preprocessing buffers for one ``(channels, n)`` signal shape.
+    """Preprocessing buffers for one ``(channels, n, kernel)`` layout.
 
     Unsynchronized by design: instances live in ``threading.local``
     storage, one set per thread, and must never escape it."""
@@ -94,6 +108,49 @@ class _Scratch:  # concurrency: thread-hostile
         self.energy_ref = np.empty(n)
 
 
+class _ThreadBuffers(threading.local):  # concurrency: thread-local
+    """One thread's buffers, shared by every pipeline that runs on it.
+
+    ``scratch`` is keyed by ``(channels, n, median_kernel)``, ``rows``
+    (a ``(raw, standardized)`` pair) by feature width: everything each
+    buffer's layout depends on, so pipelines of different users and
+    configs can take turns on one thread. A thread runs one call at a
+    time and decisions keep no reference to either, so sharing never
+    changes a result.
+    """
+
+    def __init__(self) -> None:
+        self.scratch: "OrderedDict[Tuple[int, int, int], _Scratch]" = OrderedDict()
+        self.rows: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+
+
+_BUFFERS = _ThreadBuffers()
+
+
+def _lru_get(cache: "OrderedDict[K, V]", key: K, build: Callable[[], V]) -> V:
+    """``cache[key]``, built on a miss; keeps at most SCRATCH_SHAPES."""
+    entry = cache.get(key)
+    if entry is None:
+        entry = build()
+        # reprolint: disable-next=RL011 -- confinement, not escape: the cache lives in threading.local storage
+        cache[key] = entry
+        while len(cache) > SCRATCH_SHAPES:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return entry
+
+
+def clear_thread_buffers() -> None:
+    """Drop the calling thread's scratch and feature rows.
+
+    The next call on this thread allocates afresh, as a cold start
+    does. Other threads' buffers are untouched.
+    """
+    _BUFFERS.scratch.clear()
+    _BUFFERS.rows.clear()
+
+
 class HotAuthPipeline:
     """Fused, buffer-reusing variant of the staged authentication path.
 
@@ -104,12 +161,13 @@ class HotAuthPipeline:
         policy: graceful-degradation policy (``None`` disables it).
         no_pin_mode: authenticate by keystroke pattern alone.
 
-    Thread-safe: the scratch and feature-row buffers live in
-    ``threading.local`` storage (one set per thread, allocated lazily),
-    so concurrent ``authenticate`` calls on one shared instance are
-    decision-identical to serial runs — pinned by
-    ``tests/concurrency/test_race_stress.py``. The warmup flags are the
-    only cross-thread state and sit behind an internal lock.
+    Thread-safe: the scratch and feature-row buffers live in the
+    module's per-thread storage (one set per thread, shared by every
+    pipeline, allocated lazily), so concurrent ``authenticate`` calls
+    on one or many instances are decision-identical to serial runs —
+    pinned by ``tests/concurrency/test_race_stress.py``. The warmup
+    flags are the only cross-thread state and sit behind an internal
+    lock.
     """
 
     def __init__(
@@ -124,10 +182,6 @@ class HotAuthPipeline:
         self.policy = policy
         self.no_pin_mode = no_pin_mode
         self._lam = _validate_lam(self.config.detrend_lambda)
-        # Per-thread buffer sets: `_tls.scratch` is the shape-keyed LRU,
-        # `_tls.feature_buffers` the per-model rows. _Scratch instances
-        # are thread-hostile and must never leave their thread's slot.
-        self._tls = threading.local()
         self._warm_lock = checked_rlock("HotAuthPipeline._warm_lock")
         self._warmed = False  # guarded-by: _warm_lock
         self._warmed_lengths: set = set()  # guarded-by: _warm_lock
@@ -186,58 +240,15 @@ class HotAuthPipeline:
             warmed_rockets = set()
             for model in self._iter_models():
                 rocket = getattr(model, "_rocket", None)
-                if rocket is not None and rocket._fitted:
-                    if id(rocket) not in warmed_rockets:
-                        rocket.warm()
-                        warmed_rockets.add(id(rocket))
-                    self._feature_buffers_for(model)
+                if (rocket is not None and rocket._fitted
+                        and id(rocket) not in warmed_rockets):
+                    rocket.warm()
+                    warmed_rockets.add(id(rocket))
             did_work = True
         for length in new_lengths:
             warm_detrend_factor(length, self._lam)
             did_work = True
         return did_work
-
-    # -- buffer management -------------------------------------------------
-
-    def _local_buffers(
-        self,
-    ) -> Tuple[
-        "OrderedDict[Tuple[int, int], _Scratch]",
-        Dict[int, Tuple[WaveformModel, np.ndarray, np.ndarray]],
-    ]:
-        """This thread's buffer set, allocated on first use."""
-        tls = self._tls
-        try:
-            return tls.scratch, tls.feature_buffers
-        except AttributeError:
-            tls.scratch = OrderedDict()
-            tls.feature_buffers = {}
-            return tls.scratch, tls.feature_buffers
-
-    def _scratch_for(self, channels: int, n: int) -> _Scratch:
-        scratches, _ = self._local_buffers()
-        key = (channels, n)
-        scratch = scratches.get(key)
-        if scratch is None:
-            scratch = _Scratch(channels, n, self.config.median_kernel)
-            # reprolint: disable-next=RL011 -- confinement, not escape: this dict lives in threading.local storage
-            scratches[key] = scratch
-            while len(scratches) > SCRATCH_SHAPES:
-                scratches.popitem(last=False)
-        else:
-            scratches.move_to_end(key)
-        return scratch
-
-    def _feature_buffers_for(
-        self, model: WaveformModel
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        _, feature_buffers = self._local_buffers()
-        entry = feature_buffers.get(id(model))
-        if entry is None or entry[0] is not model:
-            width = model._rocket.n_features_out
-            entry = (model, np.empty((1, width)), np.empty((1, width)))
-            feature_buffers[id(model)] = entry
-        return entry[1], entry[2]
 
     # -- the fused request path --------------------------------------------
 
@@ -260,7 +271,12 @@ class HotAuthPipeline:
             return model._featurize(x, fit=False)
         if model._rocket is None or model._scaler is None:
             raise NotFittedError("WaveformModel.fit has not been called")
-        raw_buf, std_buf = self._feature_buffers_for(model)
+        width = model._rocket.n_features_out
+        raw_buf, std_buf = _lru_get(
+            _BUFFERS.rows,
+            width,
+            lambda: (np.empty((1, width)), np.empty((1, width))),
+        )
         features = model._rocket.transform(x, out=raw_buf)
         # (x - mean) / scale, elementwise into the reused row — the same
         # two operations StandardScaler.transform performs.
@@ -311,7 +327,13 @@ class HotAuthPipeline:
         if samples.ndim != 2:
             # Raises the staged path's exact SignalError for bad shapes.
             median_filter_multi_fast(samples, config.median_kernel)
-        scratch = self._scratch_for(samples.shape[0], samples.shape[1])
+        channels, n = samples.shape
+        kernel = config.median_kernel
+        scratch = _lru_get(
+            _BUFFERS.scratch,
+            (channels, n, kernel),
+            lambda: _Scratch(channels, n, kernel),
+        )
 
         filtered = median_filter_multi_fast(
             samples,

@@ -1,4 +1,4 @@
-"""The staged authentication engine: one execution path for everything.
+"""The staged authentication engine: batches, eval and profiling.
 
 The Fig. 4 authentication sequence, decomposed into typed stages with
 explicit artifacts::
@@ -10,10 +10,11 @@ Every stage is a small object satisfying the :class:`Stage` protocol
 (``run(items) -> outputs``); batch-first signatures keep the vectorized
 preprocessing (:func:`~repro.core.pipeline.preprocess_trials`) and the
 multi-RHS classifier paths hot. :class:`AuthPipeline` composes the six
-stages and is the *only* implementation of the sequence — the
-:class:`~repro.core.authenticator.P2Auth` façade, the session manager,
-the streaming front-end, and the evaluation harness all run through it,
-so the pipeline cannot drift between entry points.
+stages; batches (``P2Auth.authenticate_many`` and the registry's),
+the evaluation harness's ``run_preprocessed``, ``profile=True`` and
+the parity suite run through it. Single probes run the fused
+:class:`~repro.core.hotpath.HotAuthPipeline`, which the parity suite
+pins bit-identical to this pipeline.
 
 Each stage wraps the pre-existing functions (``apply_policy``,
 ``preprocess_trials``, segmentation/fusion, ``WaveformModel._featurize``,

@@ -245,7 +245,7 @@ class StreamingKeystrokeDetector:  # concurrency: thread-hostile
 
 
 class StreamingAuthenticator:  # concurrency: thread-hostile
-    """Online front-end over the staged authentication engine.
+    """Online front-end over the authentication engine.
 
     Like its detector, an instance belongs to one stream and must not
     be shared across threads (the shared ``P2Auth`` it wraps is safe;
@@ -254,10 +254,9 @@ class StreamingAuthenticator:  # concurrency: thread-hostile
     Consumes PPG chunks as they arrive, detects keystrokes causally
     with :class:`StreamingKeystrokeDetector`, and — once the PIN entry
     is complete — assembles a :class:`~repro.types.PinEntryTrial` and
-    runs it through the *same*
-    :class:`~repro.core.stages.AuthPipeline` as the batch path (via
-    ``auth.authenticate``), degradation ladder included. There is no
-    streaming-specific scoring logic to drift out of sync.
+    runs it through ``auth.authenticate`` like any other single probe,
+    degradation ladder included. There is no streaming-specific
+    scoring logic to drift out of sync.
 
     Args:
         auth: an enrolled :class:`~repro.core.authenticator.P2Auth`.

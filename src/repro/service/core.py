@@ -74,6 +74,11 @@ _PIN_MISMATCH_SENTINEL = ""
 #: Bound on the replayed-nonce memory (user_id, nonce) pairs.
 _NONCE_CACHE_SIZE = 65536
 
+#: Bound on open enrollment windows; beyond it the oldest is dropped.
+#: Any client can already replace any user's window, so dropping one
+#: grants nothing new.
+_MAX_OPEN_WINDOWS = 4096
+
 
 @dataclass
 class EnrollmentWindow:
@@ -168,6 +173,8 @@ class AuthService:  # concurrency: thread-hostile
         self._stripes_loop: Optional[asyncio.AbstractEventLoop] = None
         self._stripes: List[asyncio.Lock] = []
         self._credentials: Dict[str, str] = {}
+        # Insertion order is expiry order: every window gets the same
+        # TTL and a re-begin moves its user to the end.
         self._windows: Dict[str, EnrollmentWindow] = {}
         self._sessions: "OrderedDict[str, SessionManager]" = OrderedDict()
         self._ladders: Dict[str, LockoutStatus] = {}
@@ -237,16 +244,29 @@ class AuthService:  # concurrency: thread-hostile
         HMAC proof. Re-opening a window replaces any previous one for
         the same user. Re-enrollment of an existing user is allowed —
         completing the new window replaces their templates.
+
+        Open windows are bounded: each call first drops every expired
+        window, and past :data:`_MAX_OPEN_WINDOWS` the oldest goes.
         """
         _check_user_id(user_id)
+        now = self._clock()
+        windows = self._windows
+        while windows:
+            oldest = next(iter(windows.values()))
+            if not oldest.expired(now):
+                break
+            del windows[oldest.user_id]
         window = EnrollmentWindow(
             user_id=user_id,
             pin=make_pin(self._pin_length),
             nonce=make_nonce(),
-            expires_at=self._clock() + self._enroll_ttl_s,
+            expires_at=now + self._enroll_ttl_s,
             attempts_left=self._enroll_max_attempts,
         )
-        self._windows[user_id] = window
+        windows.pop(user_id, None)  # re-insert at the end: expiry order
+        windows[user_id] = window
+        while len(windows) > _MAX_OPEN_WINDOWS:
+            del windows[next(iter(windows))]
         return EnrollBeginResponse(
             user_id=user_id,
             pin=window.pin,
@@ -302,7 +322,10 @@ class AuthService:  # concurrency: thread-hostile
             await self._offload(train)
             # Success consumes the window and rotates credentials;
             # any previous session belongs to the replaced templates.
-            del self._windows[user_id]
+            # While training ran, the window may have been replaced by a
+            # new begin, swept or capped out; only this one is consumed.
+            if self._windows.get(user_id) is window:
+                del self._windows[user_id]
             self._credentials[user_id] = pin
             self._sessions.pop(user_id, None)
             self._ladders.pop(user_id, None)

@@ -26,13 +26,17 @@ the one canonical table in :mod:`repro.errors` — the body is
 ``{"error": {"code": ..., "message": ...}}`` with the class's stable
 ``code``, the status comes from :func:`~repro.errors.http_status_for`,
 and throttling responses carry ``Retry-After`` when
-:func:`~repro.errors.retry_after_s` yields a finite delay.
+:func:`~repro.errors.retry_after_s` yields a finite delay. Any other
+exception answers 500 with code ``internal`` and a fixed message; its
+type, text and traceback go to this module's logger, never to the
+client.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -44,6 +48,8 @@ from ..errors import (
 )
 from .core import AuthService
 from .protocol import AuthRequest, EnrollBeginRequest, EnrollCompleteRequest
+
+_log = logging.getLogger(__name__)
 
 #: Upper bound on accepted request bodies (enrollment trials are the
 #: largest legitimate payload; a 10-trial batch is well under this).
@@ -98,15 +104,17 @@ async def _dispatch(
         return await _route(service, method, path, body)
     except P2AuthError as err:
         return _error_result(err)
-    except Exception as err:  # noqa: BLE001 - the transport's last line
+    except Exception:  # noqa: BLE001 - the transport's last line
         # of defense: an unexpected fault must surface as a 500 with
-        # the internal code, never tear down the connection loop.
+        # the internal code, never tear down the connection loop. Its
+        # text can carry internals, so only the server log sees it.
+        _log.exception("unhandled error serving %s %r", method, path)
         return _HttpResult(
             500,
             {
                 "error": {
                     "code": "internal",
-                    "message": f"{type(err).__name__}: {err}",
+                    "message": "internal server error",
                 }
             },
         )

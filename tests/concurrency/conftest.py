@@ -58,6 +58,22 @@ def shared_auth(enroll_trials, third_party):
 
 
 @pytest.fixture(scope="module")
+def user_auths(data):
+    """Three users' enrolled, warmed authenticators, keyed by user index."""
+    auths = {}
+    for uid in (0, 1, 3):
+        negatives = [u for u in (1, 2, 3) if u != uid][:2]
+        auth = P2Auth(pin=PIN, options=EnrollmentOptions(num_features=FEATURES))
+        auth.enroll(
+            data.trials(uid, PIN, "one_handed", 8)[:6],
+            ThirdPartyStore(data, negatives, PIN).sample(20),
+        )
+        auth.warmup()
+        auths[uid] = auth
+    return auths
+
+
+@pytest.fixture(scope="module")
 def probes(data):
     """Mixed legit/attack probes, all the same signal shape so every
     thread contends for the same scratch buffers."""

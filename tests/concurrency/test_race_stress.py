@@ -11,7 +11,9 @@ cached arrays bitwise.
 `HotAuthPipeline` sharing bug: before the scratch buffers moved to
 thread-local storage, two threads authenticating through one shared
 `P2Auth` overwrote each other's preprocessing buffers mid-probe and
-returned corrupted scores.
+returned corrupted scores. ``test_many_users_share_thread_buffers``
+pins the other half: each thread's buffers are shared by every user's
+pipeline, so a thread serving many users must still match serial.
 """
 
 from __future__ import annotations
@@ -79,15 +81,18 @@ def run_threads(worker: Callable[[int], None], n_threads: int = THREADS) -> List
     return errors
 
 
+def staged_run(auth, trial):
+    """One probe through the staged engine (``authenticate`` is fused)."""
+    return auth.pipeline.run([trial], [True])[0]
+
+
 class TestSharedHotPath:
-    """Concurrent ``authenticate_fast`` through one shared ``P2Auth``."""
+    """Concurrent fused ``authenticate`` through shared authenticators."""
 
     def test_shared_hot_path_matches_serial(self, shared_auth, probes):
         # Serial baseline first — also primes the lazy pipelines so the
         # threads race on a fully built object, not on construction.
-        baseline = [
-            decision_key(shared_auth.authenticate_fast(t)) for t in probes
-        ]
+        baseline = [decision_key(shared_auth.authenticate(t)) for t in probes]
         mismatches: List[str] = []
         report_lock = threading.Lock()
 
@@ -95,7 +100,7 @@ class TestSharedHotPath:
             local: List[str] = []
             for round_no in range(ROUNDS):
                 for pi, trial in enumerate(probes):
-                    got = decision_key(shared_auth.authenticate_fast(trial))
+                    got = decision_key(shared_auth.authenticate(trial))
                     if got != baseline[pi]:
                         local.append(
                             f"thread {idx} round {round_no} probe {pi}: "
@@ -108,26 +113,66 @@ class TestSharedHotPath:
         errors = run_threads(worker)
         assert not errors, errors
         assert not mismatches, (
-            "concurrent authenticate_fast diverged from serial:\n"
+            "concurrent authenticate diverged from serial:\n"
             + "\n".join(mismatches[:6])
         )
 
     def test_shared_staged_path_matches_serial(self, shared_auth, probes):
         # The staged engine allocates per-call, so it was already safe;
         # keep it pinned that way.
-        baseline = [decision_key(shared_auth.authenticate(t)) for t in probes]
+        baseline = [decision_key(staged_run(shared_auth, t)) for t in probes]
         mismatches: List[str] = []
 
         def worker(idx: int) -> None:
             for trial, expected in zip(probes, baseline):
                 for _ in range(5):
-                    got = decision_key(shared_auth.authenticate(trial))
+                    got = decision_key(staged_run(shared_auth, trial))
                     if got != expected:
                         mismatches.append(f"thread {idx}: {got!r}")
 
         errors = run_threads(worker)
         assert not errors, errors
         assert not mismatches, mismatches[:5]
+
+    def test_many_users_share_thread_buffers(self, user_auths, data):
+        # Every thread walks all users' probes in its own rotation, so
+        # each thread's shared scratch and feature rows pass from one
+        # user's pipeline to the next mid-run, while other threads do
+        # the same with theirs.
+        work = [
+            (uid, trial)
+            for uid in sorted(user_auths)
+            for trial in data.trials(uid, PIN, "one_handed", 8)[6:]
+        ]
+        baseline = [
+            decision_key(staged_run(user_auths[uid], trial))
+            for uid, trial in work
+        ]
+        mismatches: List[str] = []
+        report_lock = threading.Lock()
+
+        def worker(idx: int) -> None:
+            local: List[str] = []
+            for round_no in range(ROUNDS // 5):
+                for step in range(len(work)):
+                    wi = (step + 2 * idx + round_no) % len(work)
+                    uid, trial = work[wi]
+                    got = decision_key(user_auths[uid].authenticate(trial))
+                    if got != baseline[wi]:
+                        local.append(
+                            f"thread {idx} round {round_no} user {uid}: "
+                            f"{got!r} != {baseline[wi]!r}"
+                        )
+            if local:
+                with report_lock:
+                    mismatches.extend(local[:3])
+
+        errors = run_threads(worker)
+        assert not errors, errors
+        assert not mismatches, (
+            "many-user authenticate diverged from serial:\n"
+            + "\n".join(mismatches[:6])
+        )
 
 
 class TestRegistryThrash:
@@ -168,9 +213,7 @@ class TestRegistryThrash:
             "bob": data.trials(1, PIN, "one_handed", 8)[6:],
         }
         baseline = {
-            (uid, pi): decision_key(
-                registry.get(uid).authenticate_fast(trial)
-            )
+            (uid, pi): decision_key(registry.get(uid).authenticate(trial))
             for uid in users
             for pi, trial in enumerate(user_probes[uid])
         }
@@ -183,9 +226,7 @@ class TestRegistryThrash:
                 uid = users[(idx + round_no) % 2]
                 other = users[(idx + round_no + 1) % 2]
                 for pi, trial in enumerate(user_probes[uid]):
-                    got = decision_key(
-                        registry.get(uid).authenticate_fast(trial)
-                    )
+                    got = decision_key(registry.get(uid).authenticate(trial))
                     if got != baseline[(uid, pi)]:
                         local.append(
                             f"{uid} probe {pi} (thread {idx}): {got!r}"

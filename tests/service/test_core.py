@@ -140,6 +140,85 @@ class TestEnrollmentWindow:
         finally:
             svc.close()
 
+    @staticmethod
+    def _complete(svc, user_id, begin, trial):
+        return asyncio.run(
+            svc.enroll_complete(
+                EnrollCompleteRequest(
+                    user_id=user_id,
+                    nonce=begin.nonce,
+                    proof=pin_proof(begin.pin, user_id, begin.nonce),
+                    trials=(encode_trial(trial),),
+                )
+            )
+        )
+
+    def test_begin_sweeps_expired_windows(self, service_registry, one_trial):
+        clock = _Clock()
+        svc = AuthService(service_registry, clock=clock, enroll_ttl_s=60.0)
+        try:
+            abandoned = [svc.enroll_begin(f"a{i}") for i in range(3)]
+            clock.now += 30.0
+            fresh = svc.enroll_begin("f0")
+            clock.now += 31.0  # the a* windows are now expired, f0 is not
+            svc.enroll_begin("f1")
+            assert list(svc._windows) == ["f0", "f1"]
+            # Swept, not merely expired: nothing is left to report on.
+            with pytest.raises(ProofError, match="no open enrollment window"):
+                self._complete(svc, "a0", abandoned[0], one_trial)
+            assert svc._windows["f0"].nonce == fresh.nonce
+        finally:
+            svc.close()
+
+    def test_open_windows_are_capped_oldest_first(
+        self, service_registry, one_trial, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.core._MAX_OPEN_WINDOWS", 3)
+        clock = _Clock()
+        svc = AuthService(service_registry, clock=clock, enroll_ttl_s=60.0)
+        try:
+            begins = {}
+            for uid in ("w0", "w1", "w2"):
+                begins[uid] = svc.enroll_begin(uid)
+                clock.now += 1.0
+            # Re-beginning w0 moves it behind w2: w1 is now the oldest.
+            begins["w0"] = svc.enroll_begin("w0")
+            clock.now += 1.0
+            begins["w3"] = svc.enroll_begin("w3")
+            assert list(svc._windows) == ["w2", "w0", "w3"]
+            with pytest.raises(ProofError, match="no open enrollment window"):
+                self._complete(svc, "w1", begins["w1"], one_trial)
+            for uid in ("w2", "w0", "w3"):
+                assert svc._windows[uid].nonce == begins[uid].nonce
+        finally:
+            svc.close()
+
+    def test_window_capped_out_while_training(self, one_trial, monkeypatch):
+        # Training runs off the loop; a begin for another user meanwhile
+        # caps this window out. Completing still succeeds and leaves the
+        # newer window open.
+        monkeypatch.setattr("repro.service.core._MAX_OPEN_WINDOWS", 1)
+
+        class _EnrollingRegistry(_StubRegistry):
+            def enroll(self, user_id, *args, **kwargs):
+                self._auths[user_id] = None
+
+        svc = AuthService(_EnrollingRegistry({}))
+        run_in_pool = svc._offload
+
+        async def offload(fn):
+            svc.enroll_begin("other")
+            return await run_in_pool(fn)
+
+        svc._offload = offload
+        try:
+            begin = svc.enroll_begin("w1")
+            response = self._complete(svc, "w1", begin, one_trial)
+            assert response.enrolled and "w1" in svc.registry
+            assert list(svc._windows) == ["other"]
+        finally:
+            svc.close()
+
     def test_wire_enrollment_end_to_end(self, study_data, third_party, probes):
         registry = ModelRegistry(
             options=EnrollmentOptions(num_features=FEATURES)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -172,6 +173,29 @@ class TestErrorMapping:
             assert 1 <= int(headers["retry-after"]) <= 30
         finally:
             svc.close()
+
+
+class _FaultyService:
+    """Stands in for AuthService; its admin stats fault unexpectedly."""
+
+    def stats(self):
+        raise RuntimeError("secret-detail")
+
+
+class TestInternalErrors:
+    def test_500_hides_exception_text_and_logs_it(self, caplog):
+        app = make_app(_FaultyService())
+        with caplog.at_level(logging.ERROR, logger="repro.service.http"):
+            status, body, _ = call_app(app, "GET", "/v1/admin/stats")
+        assert status == 500
+        assert body["error"]["code"] == "internal"
+        raw = json.dumps(body)
+        assert "secret-detail" not in raw
+        assert "RuntimeError" not in raw
+        # The operator still gets the whole story, traceback included.
+        (record,) = [r for r in caplog.records if r.exc_info]
+        assert record.exc_info[0] is RuntimeError
+        assert "secret-detail" in caplog.text
 
 
 def _string_leaves(obj, key=""):

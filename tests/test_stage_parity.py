@@ -8,6 +8,8 @@ change a single bit of its behavior. This suite pins that contract:
   compared field-for-field (``rtol=0``/``atol=0``) against the staged
   path on legitimate, attacker, privacy-boost, two-handed, and
   wrong-PIN probes;
+- ``P2Auth.authenticate``, which runs the fused engine, must equal the
+  staged ``auth.pipeline.run`` on the same probes;
 - ``P2Auth.authenticate_many`` must equal a Python loop over
   ``authenticate``;
 - a registry-enrolled user must score identically to a directly
@@ -146,6 +148,11 @@ def _reference_authenticate(models, preprocessed, pin_ok, no_pin_mode=False):
     )
 
 
+def staged_run(auth, trial, pin_ok=True) -> AuthDecision:
+    """One probe through the staged engine: the fused path's reference."""
+    return auth.pipeline.run([trial], [pin_ok])[0]
+
+
 def assert_decisions_identical(staged: AuthDecision, reference: AuthDecision):
     """Field-for-field equality; scores at rtol=0/atol=0."""
     assert staged.accepted == reference.accepted
@@ -220,7 +227,7 @@ class TestStagedVsReference:
         for trial in probes[kind]:
             pre = preprocess_trial(trial, auth.config)
             reference = _reference_authenticate(auth.models, pre, True)
-            staged = auth.authenticate(trial)
+            staged = staged_run(auth, trial)
             assert_decisions_identical(staged, reference)
 
     @pytest.mark.parametrize("kind", ["legit", "attack"])
@@ -228,14 +235,14 @@ class TestStagedVsReference:
         for trial in probes[kind]:
             pre = preprocess_trial(trial, boost_auth.config)
             reference = _reference_authenticate(boost_auth.models, pre, True)
-            staged = boost_auth.authenticate(trial)
+            staged = staged_run(boost_auth, trial)
             assert_decisions_identical(staged, reference)
 
     def test_wrong_pin_short_circuits(self, auth, probes):
         trial = probes["legit"][0]
         pre = preprocess_trial(trial, auth.config)
         reference = _reference_authenticate(auth.models, pre, False)
-        staged = auth.authenticate(trial, claimed_pin="0000")
+        staged = staged_run(auth, trial, pin_ok=False)
         assert_decisions_identical(staged, reference)
         assert staged.reason == "PIN verification failed"
 
@@ -418,10 +425,10 @@ class TestRobustnessParity:
 
 
 class TestFusedParity:
-    """``authenticate_fast`` must never differ from ``authenticate``.
+    """``authenticate`` (fused) must never differ from the staged run.
 
     The fused pipeline skips every intermediate artifact and reuses
-    preallocated scratch buffers, so these tests run the same probes
+    per-thread scratch buffers, so these tests run the same probes
     through both engines and compare field-for-field at rtol=0/atol=0.
     """
 
@@ -429,34 +436,61 @@ class TestFusedParity:
     def test_all_probe_kinds(self, auth, probes, kind):
         for trial in probes[kind]:
             assert_decisions_identical(
-                auth.authenticate_fast(trial), auth.authenticate(trial)
+                auth.authenticate(trial), staged_run(auth, trial)
             )
 
     @pytest.mark.parametrize("kind", ["legit", "attack"])
     def test_privacy_boost_route(self, boost_auth, probes, kind):
         for trial in probes[kind]:
             assert_decisions_identical(
-                boost_auth.authenticate_fast(trial),
                 boost_auth.authenticate(trial),
+                staged_run(boost_auth, trial),
             )
 
     def test_wrong_pin_short_circuits(self, auth, probes):
         trial = probes["legit"][0]
-        fast = auth.authenticate_fast(trial, claimed_pin="0000")
-        assert_decisions_identical(
-            fast, auth.authenticate(trial, claimed_pin="0000")
-        )
+        fast = auth.authenticate(trial, claimed_pin="0000")
+        assert_decisions_identical(fast, staged_run(auth, trial, pin_ok=False))
         assert fast.reason == "PIN verification failed"
 
     def test_scratch_reuse_does_not_drift(self, auth, probes):
         # Repeated fused calls share one scratch allocation; a stale or
         # partially overwritten buffer would show up as a changed score.
-        staged = [auth.authenticate(t) for t in probes["legit"]]
+        staged = [staged_run(auth, t) for t in probes["legit"]]
         for _ in range(3):
             for trial, reference in zip(probes["legit"], staged):
-                assert_decisions_identical(
-                    auth.authenticate_fast(trial), reference
-                )
+                assert_decisions_identical(auth.authenticate(trial), reference)
+
+    def test_median_kernels_share_one_thread(
+        self, enroll_trials, third_party, probes
+    ):
+        # The scratch buffers are shared by every pipeline on a thread
+        # and the median workspace's layout depends on the kernel: two
+        # authenticators whose kernels differ, fed each probe (one
+        # signal shape) in turn, must each still match their own
+        # staged run.
+        from repro.config import PipelineConfig
+
+        auths = []
+        for kernel in (3, 5):
+            a = P2Auth(
+                pin=PIN,
+                pipeline_config=PipelineConfig(median_kernel=kernel),
+                options=EnrollmentOptions(num_features=FEATURES),
+            )
+            a.enroll(enroll_trials, third_party)
+            auths.append(a)
+        trials = probes["legit"] + probes["attack"]
+        references = [[staged_run(a, t) for t in trials] for a in auths]
+        assert any(
+            x.scores != y.scores for x, y in zip(*references)
+        ), "the two kernels never changed a score; the case tests nothing"
+        for _ in range(2):
+            for i, trial in enumerate(trials):
+                for a, reference in zip(auths, references):
+                    assert_decisions_identical(
+                        a.authenticate(trial), reference[i]
+                    )
 
     def test_post_degradation_repaired_probe(self, data, third_party):
         import dataclasses
@@ -476,9 +510,9 @@ class TestFusedParity:
         damaged = dataclasses.replace(
             probe, recording=probe.recording.with_samples(samples)
         )
-        staged = a.authenticate(damaged)
+        staged = staged_run(a, damaged)
         assert staged.degradation, "the repair ladder never ran"
-        assert_decisions_identical(a.authenticate_fast(damaged), staged)
+        assert_decisions_identical(a.authenticate(damaged), staged)
 
 
 class TestWarmup:
@@ -498,8 +532,8 @@ class TestWarmup:
         cold.enroll(enroll_trials, third_party)
         for trial in probes["legit"] + probes["attack"]:
             assert_decisions_identical(
-                warmed.authenticate_fast(trial),
-                cold.authenticate_fast(trial),
+                warmed.authenticate(trial),
+                cold.authenticate(trial),
             )
 
     def test_warmup_before_enrollment_is_safe(self):
