@@ -32,10 +32,11 @@ for per-probe latency instead of batch throughput:
   the staged path calls — pinned at ``rtol=0/atol=0`` by
   ``tests/test_stage_parity.py``.
 - **Explicit warmup.** :meth:`warmup` pays every one-off cost — the
-  C-kernel compile/load, the banded-Cholesky factorization, the SG
-  coefficients — so no first-call work sits in the request path. The
-  shared buffers are allocated by a thread's first call for each
-  layout. Warming changes latency only, never results.
+  C-kernel compile/load and transform plans, the banded-Cholesky
+  factorization, the SG coefficients — without running a transform,
+  so no first-call work sits in the request path. The shared buffers
+  are allocated by a thread's first call for each layout. Warming
+  changes latency only, never results.
 
 The parity contract: for any probe and PIN verdict,
 ``HotAuthPipeline.authenticate`` returns an ``AuthDecision`` whose
@@ -54,7 +55,6 @@ import numpy as np
 from ..concurrency import checked_rlock
 from ..config import PipelineConfig
 from ..errors import AuthenticationError, NotFittedError
-from ..features import warm_engine
 from ..signal.calibration import calibrate_trial_indices_fast
 from ..signal.detrend import _solve_trend_fast, _validate_lam, warm_detrend_factor
 from ..signal.energy import short_time_energy
@@ -200,11 +200,11 @@ class HotAuthPipeline:
         """Pay every one-off cost ahead of the first authenticate call.
 
         Compiles/loads the MiniRocket C kernel, marshals each enrolled
-        model's transform plan (one throwaway transform per distinct
-        extractor), primes the Savitzky-Golay coefficient cache, and —
-        for each length in ``signal_lengths`` — the banded-Cholesky
-        detrend factorization. Results are unaffected: a warmed and an
-        unwarmed pipeline return bit-identical decisions.
+        model's transform plan (running no transform; a planned
+        extractor costs nothing), primes the Savitzky-Golay coefficient
+        cache, and — for each length in ``signal_lengths`` — the
+        banded-Cholesky detrend factorization. Results are unaffected:
+        a warmed and an unwarmed pipeline return bit-identical decisions.
 
         Args:
             signal_lengths: expected probe lengths whose detrend
@@ -235,15 +235,11 @@ class HotAuthPipeline:
                     new_lengths.append(length)
         did_work = False
         if need_engine:
-            warm_engine()
             warm_savgol(self.config.sg_window, self.config.sg_polyorder)
-            warmed_rockets = set()
             for model in self._iter_models():
                 rocket = getattr(model, "_rocket", None)
-                if (rocket is not None and rocket._fitted
-                        and id(rocket) not in warmed_rockets):
+                if rocket is not None and rocket._fitted:
                     rocket.warm()
-                    warmed_rockets.add(id(rocket))
             did_work = True
         for length in new_lengths:
             warm_detrend_factor(length, self._lam)

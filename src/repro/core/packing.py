@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import struct
 from dataclasses import dataclass
@@ -136,7 +137,7 @@ def _decode_blob(
     payload_base = base + _align8(_PRELUDE_LEN + header_len)
     arrays: Dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"], dtype=np.int64))
+        count = math.prod(entry["shape"])
         arrays[entry["name"]] = np.frombuffer(
             buf,
             dtype=np.dtype(entry["dtype"]),
@@ -285,12 +286,6 @@ def record_extractor_refs(buf: Buffer, base: int = 0) -> Tuple[str, ...]:
     )
 
 
-def _as_float64(array: np.ndarray) -> np.ndarray:
-    # Already-float64 views stay zero-copy; quantized vectors widen back
-    # so the runtime math path is dtype-identical to a fresh enrollment.
-    return np.asarray(array, dtype=np.float64)
-
-
 def unpack_record(
     buf: Buffer,
     resolve_extractor: Callable[[str], MiniRocket],
@@ -300,7 +295,10 @@ def unpack_record(
 
     Args:
         buf: buffer holding a ``P2PK`` record at ``base`` — ``bytes``
-            or an ``mmap``; arrays are read via zero-copy views.
+            or an ``mmap``; arrays are served as zero-copy views in
+            their stored dtype (NumPy widens float32/float16 exactly
+            inside the scaler and ridge arithmetic, so scores equal a
+            float64 copy's bit for bit).
         resolve_extractor: fingerprint → fitted shared extractor. The
             callable owns caching, so a warm pool makes unpacking a
             user O(per-user vectors) regardless of extractor size.
@@ -320,10 +318,10 @@ def unpack_record(
         )
         model._rocket = resolve_extractor(m["extractor"])
         scaler = StandardScaler()
-        scaler._mean = _as_float64(arrays[f"{slot}/scaler_mean"])
-        scaler._scale = _as_float64(arrays[f"{slot}/scaler_scale"])
+        scaler._mean = arrays[f"{slot}/scaler_mean"]
+        scaler._scale = arrays[f"{slot}/scaler_scale"]
         clf = RidgeClassifier(alphas=m["alphas"])
-        clf.coef_ = _as_float64(arrays[f"{slot}/coef"])
+        clf.coef_ = arrays[f"{slot}/coef"]
         clf.intercept_ = float(m["intercept"])
         clf.alpha_ = float(m["alpha"])
         model._scaler = scaler

@@ -308,8 +308,9 @@ class ModelRegistry:
         path — run *outside* the registry lock, so two threads missing
         on different users load in parallel instead of serializing
         behind one another (pinned by ``tests/core/test_registry.py``).
-        Each loaded authenticator is warmed before it is published:
-        the first probe against it pays none of the one-off costs.
+        Each loaded authenticator is warmed (its unplanned extractors
+        planned, no transform run) before it is published: the first
+        probe against it pays none of the one-off costs.
         When two threads race on the same user, the first to publish
         wins and the loser's copy is discarded, so every caller sees
         one canonical instance per user.

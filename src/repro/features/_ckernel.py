@@ -128,10 +128,9 @@ def available() -> bool:
 class TransformPlan:
     """Pre-marshalled ``mr_transform`` arguments for repeated calls.
 
-    The per-call cost of :func:`transform` includes re-validating and
-    re-concatenating the dilation/bias arrays into the contiguous int64
-    and float64 layouts the C entry point expects.  A plan pays that
-    once; :func:`transform_prepared` then only has to hand pointers to
+    Building one converts the dilation/bias arrays into the contiguous
+    int64 and float64 layouts the C entry point expects, once;
+    :func:`transform_prepared` then only has to hand pointers to
     ctypes.  Plans hold no state about the input batch, so one plan
     serves any ``(n, channels, length)`` matching the fitted extractor.
     """
@@ -265,23 +264,3 @@ def transform_prepared_multi(
         return None
     return out
 
-
-def transform(
-    x: np.ndarray,
-    dilations: np.ndarray,
-    features_per_dilation: np.ndarray,
-    biases: List[List[np.ndarray]],
-    n_features_out: int,
-) -> Optional[np.ndarray]:
-    """Run the compiled transform; ``None`` if it cannot handle ``x``.
-
-    Args:
-        x: C-contiguous float64 input, shape ``(n, channels, length)``.
-        dilations / features_per_dilation: the fitted dilation plan.
-        biases: per-channel, per-dilation ``(84, nf)`` bias arrays.
-        n_features_out: total output feature count.
-    """
-    plan = prepare(dilations, features_per_dilation, biases, n_features_out)
-    if plan is None:
-        return None
-    return transform_prepared(plan, x)

@@ -533,16 +533,16 @@ class MiniRocket:
         """Pay the one-off transform costs ahead of the first real call.
 
         Resolves the engine (building and loading the C kernel if
-        needed), marshals the prepared argument plan, and runs one
-        throwaway transform at the fitted shape so every lazy path the
-        first real call would hit is already primed. Results are
-        unaffected — warming is observable only as latency. Idempotent
-        and cheap after the first call (one small transform).
+        needed) and, on the C engine, marshals the prepared argument
+        plan — the only state a transform builds lazily. Runs no
+        transform. Results are unaffected — warming is observable only
+        as latency. Idempotent, and O(1) once the plan exists, so an
+        extractor shared by many users is planned once.
         """
         if not self._fitted:
             raise NotFittedError("MiniRocket.fit has not been called")
-        x = np.zeros((1, int(self._n_channels), int(self._input_length)))
-        self.transform(x)
+        if self._plan is None and warm_engine(self.engine) == "c":
+            self._c_plan()
         return self
 
     def transform(

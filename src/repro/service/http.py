@@ -127,6 +127,8 @@ def _parse_json(body: bytes, ctx: str) -> Any:
         return json.loads(body)
     except ValueError:
         raise ProtocolError(f"{ctx}: body is not valid JSON") from None
+    except RecursionError:
+        raise ProtocolError(f"{ctx}: body nests too deeply") from None
 
 
 async def _route(
@@ -278,12 +280,19 @@ def make_app(
 # ---------------------------------------------------------------------------
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the reader's 64 KiB limit
+        raise ProtocolError("request or header line too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
     if not request_line:
@@ -294,14 +303,17 @@ async def _read_request(
     method, target, _version = parts
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ProtocolError(f"unacceptable content-length {length}")
+    # ASCII digits only: int() alone takes "+5" and "1_000", isdigit()
+    # alone "\u00b2". 18 digits are far past MAX_BODY_BYTES already.
+    raw = headers.get("content-length", "0")
+    length = int(raw) if raw.isascii() and raw.isdigit() and len(raw) <= 18 else -1
+    if not 0 <= length <= MAX_BODY_BYTES:
+        raise ProtocolError(f"unacceptable content-length {raw[:32]!r}")
     body = await reader.readexactly(length) if length else b""
     path = target.split("?", 1)[0]
     return method, path, headers, body

@@ -31,6 +31,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
+import math
 import secrets
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -79,8 +80,10 @@ def pin_proof(pin: str, user_id: str, nonce: str) -> str:
     """``HMAC-SHA256(key=pin, msg=user_id || "|" || nonce)``, hex.
 
     Computed client-side from the typed PIN; verified server-side
-    against the enrolled PIN. A passive observer of the wire sees only
-    the proof and the single-use nonce, never the PIN.
+    against the enrolled PIN. The PIN never crosses the wire, but the
+    key is a 4-digit PIN: one captured proof, user id and nonce give
+    it up in at most 10^4 HMACs. The service assumes TLS on every hop;
+    the proof is no defence against an observer without it.
     """
     return hmac.new(
         pin.encode("utf-8"), _proof_msg(user_id, nonce), hashlib.sha256
@@ -167,6 +170,17 @@ def _get(
     return value
 
 
+def _get_float(payload: Mapping[str, Any], name: str, ctx: str) -> float:
+    value = _get(payload, name, (int, float), ctx)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads also yields NaN, Infinity
+        raise ProtocolError(f"{ctx}: field {name!r} must be a finite number")
+    return number
+
+
 def _get_str(payload: Mapping[str, Any], name: str, ctx: str) -> str:
     value = _get(payload, name, (str,), ctx)
     if not value:
@@ -224,8 +238,8 @@ def _decode_recording(payload: Mapping[str, Any], ctx: str) -> PPGRecording:
     _reject_unknown(
         rec, ("fs", "start_time", "shape", "channels", "samples_b64"), ctx
     )
-    fs = float(_get(rec, "fs", (int, float), ctx))
-    start_time = float(_get(rec, "start_time", (int, float), ctx))
+    fs = _get_float(rec, "fs", ctx)
+    start_time = _get_float(rec, "start_time", ctx)
     shape = _get(rec, "shape", (list, tuple), ctx)
     if len(shape) != 2 or not all(isinstance(d, int) and d > 0 for d in shape):
         raise ProtocolError(f"{ctx}: shape must be two positive integers")
@@ -307,10 +321,8 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
         events.append(
             KeystrokeEvent(
                 key=digit,
-                true_time=float(_get(ev, "true_time", (int, float), ectx)),
-                reported_time=float(
-                    _get(ev, "reported_time", (int, float), ectx)
-                ),
+                true_time=_get_float(ev, "true_time", ectx),
+                reported_time=_get_float(ev, "reported_time", ectx),
                 hand=hand,
             )
         )

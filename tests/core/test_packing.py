@@ -107,6 +107,61 @@ class TestDecisionParity:
         assert any(not d.accepted for d in decisions)
 
 
+def _slot_vectors(auth):
+    """``(owner, attribute)`` of every per-user vector, slot by slot."""
+    models = auth.models
+    slots = [m for m in (models.full_model, models.fused_model) if m is not None]
+    slots.extend(models.key_models.values())
+    return [
+        (owner, attr)
+        for model in slots
+        for owner, attr in (
+            (model._scaler, "_mean"),
+            (model._scaler, "_scale"),
+            (model._classifier, "coef_"),
+        )
+    ]
+
+
+class TestStoredDtype:
+    """Unpacked vectors stay in their stored dtype, as record views."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float16"])
+    def test_scores_bit_identical_to_widened_copy(
+        self, enrolled, battery, dtype
+    ):
+        packed = pack_authenticator(enrolled, dtype=dtype)
+        stored = unpack_authenticator(packed)
+        widened = unpack_authenticator(packed)
+        for owner, attr in _slot_vectors(widened):
+            setattr(owner, attr, np.asarray(getattr(owner, attr), np.float64))
+        for trial, pin in battery:
+            pin_ok = stored._pin_verdict(trial, pin)
+            pairs = (
+                (stored.authenticate(trial, claimed_pin=pin),
+                 widened.authenticate(trial, claimed_pin=pin)),
+                (stored.pipeline.run([trial], [pin_ok])[0],
+                 widened.pipeline.run([trial], [pin_ok])[0]),
+            )
+            for got, ref in pairs:
+                for field in DECISION_FIELDS:
+                    assert getattr(got, field) == getattr(ref, field)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
+    def test_vectors_are_record_views_in_stored_dtype(self, enrolled, dtype):
+        packed = pack_authenticator(enrolled, dtype=dtype)
+        record = np.frombuffer(packed.record, dtype=np.uint8)
+        auth = unpack_record(
+            packed.record,
+            lambda fp: decode_extractor(packed.extractors[fp]),
+        )
+        vectors = [getattr(owner, attr) for owner, attr in _slot_vectors(auth)]
+        assert vectors
+        for vector in vectors:
+            assert vector.dtype == np.dtype(dtype)
+            assert np.shares_memory(vector, record)
+
+
 class TestFormat:
     def test_pack_is_deterministic(self, enrolled):
         first = pack_authenticator(enrolled, dtype="float32")

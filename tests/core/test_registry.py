@@ -11,10 +11,15 @@ from repro.core import (
     ModelRegistry,
     NpzDirectoryBackend,
     P2Auth,
+    ShardedPackedBackend,
     backend_exists,
+    pack_authenticator,
 )
 from repro.data import ThirdPartyStore
 from repro.errors import ConfigurationError
+from repro.eval import materialize_population
+from repro.features import MiniRocket
+from repro.features import minirocket as mr
 
 PIN = "1628"
 FEATURES = 840
@@ -256,6 +261,63 @@ class TestLockFreeLoads:
         # The registry warmed the authenticator on load: a direct
         # warmup call finds no cold work left.
         assert loaded.warmup() is False
+
+
+class TestPlannedLoads:
+    """A registry miss costs one load: warming runs no transform."""
+
+    def test_get_runs_no_transform_once_extractors_are_planned(
+        self, alice, tmp_path, monkeypatch
+    ):
+        backend = ShardedPackedBackend(tmp_path, n_shards=4)
+        ids = materialize_population(
+            backend, 8, [pack_authenticator(alice, "float32")]
+        )
+        registry = ModelRegistry(backend=backend, capacity=2)
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            mr._ckernel, "transform_prepared",
+            spy("transform", mr._ckernel.transform_prepared),
+        )
+        monkeypatch.setattr(
+            MiniRocket, "_transform_vectorized",
+            spy("transform", MiniRocket._transform_vectorized),
+        )
+        monkeypatch.setattr(
+            mr._ckernel, "prepare", spy("prepare", mr._ckernel.prepare)
+        )
+
+        def rockets(auth):
+            return [
+                model._rocket for model in auth.hot_pipeline._iter_models()
+            ]
+
+        per_get = []
+        for uid in ids:
+            registry.evict(uid)
+            del calls[:]
+            loaded = registry.get(uid)
+            per_get.append(list(calls))
+            if mr._ckernel.available():
+                assert all(r._plan is not None for r in rockets(loaded))
+        assert registry.stats["misses"] == len(ids)
+        # Every user shares the first user's pooled, planned extractors,
+        # so after the first load a get builds no plan and transforms
+        # nothing; the first load plans without transforming either.
+        assert all(name == "prepare" for name in per_get[0])
+        assert per_get[1:] == [[]] * (len(ids) - 1)
+        first = rockets(registry.get(ids[-1]))
+        registry.evict(ids[0])
+        assert [id(r) for r in rockets(registry.get(ids[0]))] == [
+            id(r) for r in first
+        ]
 
 
 class TestNpzDirectoryHygiene:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, NotFittedError, SignalError
 from repro.features import MiniRocket
+from repro.features import minirocket as mr
 from repro.features.minirocket import (
     KERNEL_INDICES,
     KERNEL_LENGTH,
@@ -13,6 +14,10 @@ from repro.features.minirocket import (
     _fit_dilations,
     _golden_quantiles,
     _shifted_stack,
+)
+
+ENGINES = ["vectorized", "reference"] + (
+    ["c"] if mr._ckernel.available() else []
 )
 
 
@@ -168,3 +173,71 @@ class TestTransform:
         realized = rocket.n_features_out
         assert realized >= min(budget, NUM_KERNELS)
         assert realized <= budget + NUM_KERNELS * 32
+
+
+def _count_transforms(monkeypatch):
+    """Record every call into a transform engine; returns the log."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        mr._ckernel, "transform_prepared",
+        spy("c", mr._ckernel.transform_prepared),
+    )
+    monkeypatch.setattr(
+        MiniRocket, "_transform_vectorized",
+        spy("vectorized", MiniRocket._transform_vectorized),
+    )
+    monkeypatch.setattr(
+        MiniRocket, "_transform_loop",
+        spy("reference", MiniRocket._transform_loop),
+    )
+    return calls
+
+
+class TestWarm:
+    def test_warm_before_fit_rejected(self):
+        with pytest.raises(NotFittedError):
+            MiniRocket().warm()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warm_runs_no_transform(self, series, engine, monkeypatch):
+        rocket = MiniRocket(num_features=336, engine=engine).fit(series)
+        calls = _count_transforms(monkeypatch)
+        assert rocket.warm() is rocket
+        assert calls == []
+        rocket.transform(series[:1])  # the spies do see a real transform
+        assert calls == [engine]
+
+    @pytest.mark.skipif(
+        not mr._ckernel.available(), reason="no compiled kernel"
+    )
+    def test_warm_plans_once_on_c_engine(self, series, monkeypatch):
+        rocket = MiniRocket(num_features=336, engine="c").fit(series)
+        assert rocket._plan is None
+        rocket.warm()
+        plan = rocket._plan
+        assert plan is not None
+        # A planned extractor's warm() calls neither warm_engine nor
+        # _ckernel.prepare.
+        touched = []
+        monkeypatch.setattr(mr, "warm_engine", touched.append)
+        monkeypatch.setattr(mr._ckernel, "prepare", touched.append)
+        rocket.warm()
+        assert touched == []
+        assert rocket._plan is plan
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warmed_transform_matches_unwarmed_twin(self, series, engine):
+        warmed = MiniRocket(num_features=336, engine=engine).fit(series)
+        twin = MiniRocket(num_features=336, engine=engine).fit(series)
+        warmed.warm()
+        got = warmed.transform(series)
+        expected = twin.transform(series)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()

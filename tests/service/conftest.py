@@ -8,11 +8,17 @@ wire-enrollment happy paths — build a fresh one.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import json
+from typing import Any, AsyncIterator, Optional, Tuple
+
 import pytest
 
 from repro.core import EnrollmentOptions, ModelRegistry
 from repro.data import ThirdPartyStore
 from repro.service import AuthService
+from repro.service.http import serve
 
 #: PIN every pre-enrolled service user types.
 PIN = "1628"
@@ -65,3 +71,51 @@ def service(service_registry):
     svc.adopt_user("u1", PIN)
     yield svc
     svc.close()
+
+
+@contextlib.asynccontextmanager
+async def live_server(service: AuthService) -> AsyncIterator[Tuple[str, int]]:
+    """Run :func:`serve` on an ephemeral port; yields its address."""
+    ready = asyncio.Event()
+    task = asyncio.create_task(serve(service, "127.0.0.1", 0, ready=ready))
+    await asyncio.wait_for(ready.wait(), 5)
+    try:
+        yield ready.address  # type: ignore[attr-defined]
+    finally:
+        task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await task
+
+
+async def exchange(
+    address: Tuple[str, int], raw: bytes, half_close: bool = False
+) -> Optional[Tuple[int, Any]]:
+    """Send ``raw`` on a fresh connection; read one response.
+
+    Returns ``(status, json_body)``, or ``None`` when the server closed
+    the connection without answering. ``half_close`` shuts the write
+    side after sending, as a client that has nothing more to say.
+    """
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        writer.write(raw)
+        if half_close:
+            writer.write_eof()
+        await writer.drain()
+        try:
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5)
+        except asyncio.IncompleteReadError as err:
+            assert err.partial == b"", f"truncated response {err.partial!r}"
+            return None
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(
+            line.lower().split(": ", 1) for line in lines[1:] if line
+        )
+        body = await asyncio.wait_for(
+            reader.readexactly(int(headers["content-length"])), 5
+        )
+        return int(lines[0].split(" ")[1]), json.loads(body)
+    finally:
+        writer.close()
+        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+            await writer.wait_closed()

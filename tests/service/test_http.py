@@ -13,7 +13,7 @@ from repro.service import AuthService, encode_trial, make_app, pin_proof
 from repro.service.http import serve
 from repro.service.protocol import make_nonce
 
-from .conftest import PIN
+from .conftest import PIN, exchange, live_server
 
 
 def call_app(app, method, path, body=None):
@@ -75,6 +75,12 @@ class TestRouting:
     def test_bad_json_is_400_protocol_error(self, app):
         status, body, _ = call_app(app, "POST", "/v1/auth", b"{nope")
         assert status == 400 and body["error"]["code"] == "protocol_error"
+
+    def test_deeply_nested_json_is_400_not_500(self, app):
+        # 200 KB nested 100,000 deep: json.loads hits RecursionError.
+        body = b"[" * 100_000 + b"]" * 100_000
+        status, payload, _ = call_app(app, "POST", "/v1/auth", body)
+        assert status == 400 and payload["error"]["code"] == "protocol_error"
 
     def test_unknown_field_is_400(self, app):
         status, body, _ = post_json(app, "/v1/enroll/begin", {"user": "x"})
@@ -349,3 +355,46 @@ class TestSocketServer:
                 await task
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "value, body",
+        [
+            (b"abc", b""),
+            (b"+5", b"hello"),  # int() would read a 5-byte body
+            (b"1_000", b"x" * 1000),  # int() would read 1000 bytes
+            (b"\xb2", b""),  # latin-1 superscript two: isdigit() but no int
+            (b"9" * 5000, b""),  # past int()'s 4300-digit limit
+        ],
+        ids=["letters", "plus-sign", "underscore", "superscript", "5000-digits"],
+    )
+    def test_malformed_content_length_answers_400(self, service, value, body):
+        request = (
+            b"GET /v1/health HTTP/1.1\r\ncontent-length: " + value
+            + b"\r\n\r\n" + body
+        )
+
+        async def run():
+            async with live_server(service) as address:
+                return await exchange(address, request)
+
+        status, payload = asyncio.run(run())
+        assert status == 400
+        assert payload["error"]["code"] == "protocol_error"
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            b"GET /v1/health HTTP/1.1\r\nx-pad: " + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_over_long_line_answers_400(self, service, request_bytes):
+        async def run():
+            async with live_server(service) as address:
+                return await exchange(address, request_bytes)
+
+        status, payload = asyncio.run(run())
+        assert status == 400
+        assert payload["error"]["code"] == "protocol_error"

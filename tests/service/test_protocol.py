@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,22 @@ class TestTrialRoundTrip:
         wire = encode_trial(one_trial)
         wire["typist"] = True
         with pytest.raises(ProtocolError, match="boolean"):
+            decode_trial(wire, one_trial.pin)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf")],
+        ids=["int-1e400", "nan", "inf"],
+    )
+    @pytest.mark.parametrize(
+        "where", ["fs", "start_time", "true_time", "reported_time"]
+    )
+    def test_non_finite_number_rejected(self, one_trial, where, value):
+        # json.loads yields all three; float(10**400) overflows, and a
+        # NaN or infinity reaching the engine answered 500.
+        wire = json.loads(json.dumps(encode_trial(one_trial)))
+        holder = wire["recording"] if where in ("fs", "start_time") else wire["events"][1]
+        holder[where] = value
+        with pytest.raises(ProtocolError, match="finite number"):
             decode_trial(wire, one_trial.pin)
 
     def test_unknown_hand_rejected(self, one_trial):
