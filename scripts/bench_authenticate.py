@@ -1,26 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the authenticate hot path and write BENCH_authenticate.json.
 
-Five sections, all on paper-shaped probes (4 PPG channels, ~5 s at
+Two sections, both on paper-shaped probes (4 PPG channels, ~5 s at
 100 Hz):
 
-- ``single`` — one warm probe through the staged engine
-  (``P2Auth.pipeline.run``) and the fused engine
+- ``single`` — one warm probe through the staged reference engine
+  (``repro.core.stages.AuthPipeline``) and the fused engine
   (``P2Auth.authenticate``), interleaved within every iteration so
   CPU-frequency drift cancels instead of biasing one side; p50/p95/p99
   per path and the decision-equality flag.
 - ``cold`` — the price of the first call: a cold start (empty SG /
   detrend / kernel-plan caches, empty per-thread scratch buffers)
   versus calling :meth:`P2Auth.warmup` first and then authenticating.
-- ``stages`` — the per-stage wall-time budget from ``profile=True``
-  (median over the run), the observability face of the same numbers.
-- ``batch`` — ``P2Auth.authenticate_many`` (the staged engine, batched)
-  versus a loop of fused authenticate() calls at batch sizes
-  1/4/16/64, with the batch==loop parity flag.
-- ``registry`` — cross-user batching: ``ModelRegistry
-  .authenticate_many`` over mixed probes of three enrolled users
-  versus a get()+authenticate() loop (one C-kernel transform call for
-  the whole batch versus one fused call per probe).
 
 The headline numbers are ``single.speedup_fused`` (staged p50 over
 fused p50) and ``single.fused.p50_ms`` — the acceptance gate wants
@@ -49,12 +40,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import PAPER_PINS  # noqa: E402
-from repro.core import (  # noqa: E402
-    EnrollmentOptions,
-    ModelRegistry,
-    P2Auth,
-)
+from repro.core import EnrollmentOptions, P2Auth  # noqa: E402
 from repro.core.hotpath import clear_thread_buffers  # noqa: E402
+from repro.core.stages import AuthPipeline  # noqa: E402
 from repro.data import StudyData, ThirdPartyStore  # noqa: E402
 from repro.features import c_kernel_available  # noqa: E402
 from repro.signal.detrend import clear_detrend_cache  # noqa: E402
@@ -73,26 +61,14 @@ def _percentiles(times_s):
     }
 
 
-def _same_decision(a, b) -> bool:
-    """Field-exact equality, ignoring the observability-only timings."""
-    fields = ("accepted", "reason", "input_case", "pin_ok", "scores",
-              "keys_checked", "passes", "degradation")
-    return all(getattr(a, f) == getattr(b, f) for f in fields)
-
-
 def build_world(num_features: int):
-    """One enrolled authenticator plus labelled probe pools."""
+    """One enrolled authenticator plus a held-out probe of its user."""
     data = StudyData(n_users=5, seed=21)
     third_party = ThirdPartyStore(data, [1, 2], PIN).sample(20)
     enroll_trials = data.trials(0, PIN, "one_handed", 8)[:6]
     auth = P2Auth(pin=PIN, options=EnrollmentOptions(num_features=num_features))
     auth.enroll(enroll_trials, third_party)
-    probes = (
-        data.trials(0, PIN, "one_handed", 16)[6:]
-        + data.emulating_trials(4, 0, PIN, 3)
-        + data.trials(0, PIN, "double3", 3)
-    )
-    return data, third_party, auth, probes
+    return auth, data.trials(0, PIN, "one_handed", 7)[6]
 
 
 def _reset_cold(auth) -> None:
@@ -119,9 +95,13 @@ def _reset_cold(auth) -> None:
 def bench_single(auth, probe, repeats: int):
     """Warm staged vs fused on one probe, interleaved per iteration."""
     auth.warmup([probe.recording.n_samples])
+    reference = AuthPipeline(
+        auth.models, config=auth.config, policy=auth.policy,
+        no_pin_mode=auth.no_pin_mode,
+    )
 
     def staged_run(trial):
-        return auth.pipeline.run([trial], [True])[0]
+        return reference.run([trial], [True])[0]
 
     staged_ref = staged_run(probe)
     fused_ref = auth.authenticate(probe)
@@ -147,7 +127,7 @@ def bench_single(auth, probe, repeats: int):
         "staged": staged,
         "fused": fused,
         "speedup_fused": staged["p50_ms"] / fused["p50_ms"],
-        "parity_ok": _same_decision(staged_ref, fused_ref),
+        "parity_ok": staged_ref == fused_ref,
     }
 
 
@@ -172,139 +152,18 @@ def bench_cold(auth, probe):
         "cold_first_call_ms": cold_first_ms,
         "warmup_ms": warmup_ms,
         "first_call_after_warmup_ms": warm_first_ms,
-        "parity_ok": _same_decision(cold_decision, warm_decision),
+        "parity_ok": cold_decision == warm_decision,
     }
 
 
-def bench_stages(auth, probe, repeats: int):
-    """Median per-stage budget of the staged engine (profile=True)."""
-    auth.warmup([probe.recording.n_samples])
-    per_stage = {}
-    for _ in range(repeats):
-        decision = auth.authenticate(probe, profile=True)
-        for name, seconds in decision.stage_timings:
-            per_stage.setdefault(name, []).append(seconds * 1e3)
-    return {
-        "repeats": repeats,
-        "median_ms": {name: float(np.median(v)) for name, v in per_stage.items()},
-    }
-
-
-def bench_batches(auth, probes, sizes, repeats: int):
-    """Staged authenticate_many vs a fused authenticate() loop per size."""
-    auth.warmup([t.recording.n_samples for t in probes])
-    out = {}
-    for size in sizes:
-        batch = [probes[i % len(probes)] for i in range(size)]
-
-        batch_times, loop_times = [], []
-        batch_decisions = loop_decisions = None
-        for i in range(repeats):
-            runs = (("batch", lambda: auth.authenticate_many(batch)),
-                    ("loop", lambda: [auth.authenticate(t) for t in batch]))
-            if i % 2:
-                runs = runs[::-1]
-            for name, fn in runs:
-                start = time.perf_counter()
-                result = fn()
-                elapsed = time.perf_counter() - start
-                if name == "batch":
-                    batch_times.append(elapsed)
-                    batch_decisions = result
-                else:
-                    loop_times.append(elapsed)
-                    loop_decisions = result
-
-        best_batch = min(batch_times)
-        best_loop = min(loop_times)
-        out[str(size)] = {
-            "batch_per_probe_ms": best_batch / size * 1e3,
-            "loop_per_probe_ms": best_loop / size * 1e3,
-            "speedup_batch": best_loop / best_batch,
-            "parity_ok": all(
-                _same_decision(a, b)
-                for a, b in zip(batch_decisions, loop_decisions)
-            ),
-        }
-    return {"repeats": repeats, "sizes": out}
-
-
-def bench_registry(num_features: int, repeats: int):
-    """Cross-user batch vs loop through a warm ModelRegistry."""
-    data = StudyData(n_users=5, seed=33)
-    registry = ModelRegistry()
-    users = ["alice", "bob", "carol"]
-    for uid, name in enumerate(users):
-        third_party = ThirdPartyStore(
-            data, [u for u in range(3) if u != uid], PIN
-        ).sample(12)
-        auth = P2Auth(
-            pin=PIN, options=EnrollmentOptions(num_features=num_features)
-        )
-        auth.enroll(data.trials(uid, PIN, "one_handed", 8)[:6], third_party)
-        registry.add(name, auth)
-
-    user_ids, trials = [], []
-    for uid, name in enumerate(users):
-        own = data.trials(uid, PIN, "one_handed", 10)[6:8]
-        user_ids += [name, name]
-        trials += own
-    user_ids.append("alice")
-    trials.append(data.emulating_trials(4, 0, PIN, 1)[0])
-
-    for name in users:
-        registry.get(name).warmup([t.recording.n_samples for t in trials])
-
-    batch_times, loop_times = [], []
-    batch_decisions = loop_decisions = None
-    for i in range(repeats):
-        runs = (
-            ("batch", lambda: registry.authenticate_many(user_ids, trials)),
-            ("loop", lambda: [
-                registry.get(u).authenticate(t)
-                for u, t in zip(user_ids, trials)
-            ]),
-        )
-        if i % 2:
-            runs = runs[::-1]
-        for name, fn in runs:
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-            if name == "batch":
-                batch_times.append(elapsed)
-                batch_decisions = result
-            else:
-                loop_times.append(elapsed)
-                loop_decisions = result
-
-    return {
-        "n_users": len(users),
-        "n_probes": len(trials),
-        "repeats": repeats,
-        "batch_ms": min(batch_times) * 1e3,
-        "loop_ms": min(loop_times) * 1e3,
-        "speedup_batch": min(loop_times) / min(batch_times),
-        "parity_ok": all(
-            _same_decision(a, b)
-            for a, b in zip(batch_decisions, loop_decisions)
-        ),
-    }
-
-
-def run(num_features: int, single_repeats: int, stage_repeats: int,
-        batch_repeats: int, sizes):
+def run(num_features: int, single_repeats: int):
     """The full harness; shared by the script and the perf-smoke test."""
-    _, _, auth, probes = build_world(num_features)
-    probe = probes[0]
+    auth, probe = build_world(num_features)
     return {
         "num_features": num_features,
         "c_kernel": c_kernel_available(),
         "cold": bench_cold(auth, probe),
         "single": bench_single(auth, probe, single_repeats),
-        "stages": bench_stages(auth, probe, stage_repeats),
-        "batch": bench_batches(auth, probes, sizes, batch_repeats),
-        "registry": bench_registry(num_features, batch_repeats),
     }
 
 
@@ -325,11 +184,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        params = dict(num_features=840, single_repeats=30, stage_repeats=10,
-                      batch_repeats=2, sizes=(1, 4, 16))
+        params = dict(num_features=840, single_repeats=30)
     else:
-        params = dict(num_features=9996, single_repeats=200, stage_repeats=50,
-                      batch_repeats=3, sizes=(1, 4, 16, 64))
+        params = dict(num_features=9996, single_repeats=200)
 
     report = {
         "benchmark": "authenticate-hot-path",
@@ -354,13 +211,6 @@ def main(argv=None) -> int:
         f"{cold['cold_first_call_ms']:.1f} ms | warmup "
         f"{cold['warmup_ms']:.1f} ms | first call after warmup "
         f"{cold['first_call_after_warmup_ms']:.2f} ms",
-        file=sys.stderr,
-    )
-    reg = report["registry"]
-    print(
-        f"[registry] batch {reg['batch_ms']:.1f} ms | loop "
-        f"{reg['loop_ms']:.1f} ms over {reg['n_probes']} probes | "
-        f"parity={reg['parity_ok']}",
         file=sys.stderr,
     )
     report["peak_rss_mib"] = (

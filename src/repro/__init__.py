@@ -38,7 +38,7 @@ from .config import (
     SimulationConfig,
 )
 from .core.attacks import EmulatingAttacker, RandomAttacker
-from .core.authentication import AuthDecision
+from .core.artifacts import AuthDecision
 from .core.authenticator import P2Auth
 from .errors import (
     AuthenticationError,

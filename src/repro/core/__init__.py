@@ -4,15 +4,22 @@ The workflow of Fig. 4, end to end: preprocessing (`pipeline`), input
 case identification (`input_case`), privacy-boost waveform fusion
 (`fusion`), PIN verification (`pin`), enrollment (`enrollment`, a
 façade over the `models` / `negatives` / `enroll` split),
-authentication through the fused single-probe engine (`hotpath`) and
-the staged batch engine (`stages`), the :class:`P2Auth` facade
-(`authenticator`), the multi-user :class:`ModelRegistry` (`registry`),
-and the attack models (`attacks`).
+authentication through the fused engine (`hotpath`), the
+:class:`P2Auth` facade (`authenticator`), the multi-user
+:class:`ModelRegistry` (`registry`), and the attack models
+(`attacks`). The staged engine (`stages`, with its typed `artifacts`)
+is the reference the parity suite holds the fused engine to; no
+request runs it, so its names are not exported here.
 """
 
 from .attacks import EmulatingAttacker, RandomAttacker
-from .authentication import AuthDecision, authenticate_preprocessed
 from .authenticator import P2Auth
+
+# Keep `.artifacts` after `.authenticator`: imported ahead of `.attacks`
+# (same module set), it tripled the page faults of `import repro.cli`
+# (20k -> 58k) and added ~0.5 s to every process start on a 2-vCPU
+# x86_64 guest.
+from .artifacts import AuthDecision
 from .backends import PackedArenaBackend, ShardedPackedBackend
 from .degradation import DegradationEvent, DegradationPolicy, apply_policy
 from .packing import (
@@ -37,23 +44,6 @@ from .session import (
     SessionEvent,
     SessionManager,
     SessionState,
-)
-from .stages import (
-    AuthPipeline,
-    ClassifyStage,
-    DecideStage,
-    FeatureBlock,
-    Features,
-    FeaturizeStage,
-    Preprocessed,
-    PreprocessStage,
-    Recording,
-    Repaired,
-    RepairStage,
-    Scores,
-    SegmentStage,
-    Segments,
-    Stage,
 )
 from .streaming import (
     DetectedKeystroke,
@@ -81,18 +71,12 @@ from .pipeline import PreprocessedTrial, preprocess_trial, preprocess_trials
 
 __all__ = [
     "AuthDecision",
-    "AuthPipeline",
-    "ClassifyStage",
-    "DecideStage",
     "DegradationEvent",
     "DegradationPolicy",
     "DetectedKeystroke",
     "EmulatingAttacker",
     "EnrolledModels",
     "EnrollmentOptions",
-    "FeatureBlock",
-    "Features",
-    "FeaturizeStage",
     "ModelRegistry",
     "NegativeBank",
     "NpzDirectoryBackend",
@@ -100,19 +84,10 @@ __all__ = [
     "PackedArenaBackend",
     "PackedAuthenticator",
     "ShardedPackedBackend",
-    "Preprocessed",
-    "PreprocessStage",
-    "Recording",
     "RegistryBackend",
-    "Repaired",
-    "RepairStage",
     "LockoutStatus",
     "RetryPolicy",
-    "Scores",
-    "SegmentStage",
-    "Segments",
     "SharedNegativeSet",
-    "Stage",
     "PinVerifier",
     "PreprocessedTrial",
     "RandomAttacker",
@@ -124,7 +99,6 @@ __all__ = [
     "WaveformModel",
     "WearStatus",
     "apply_policy",
-    "authenticate_preprocessed",
     "backend_exists",
     "build_negative_bank",
     "check_enrollment_quality",

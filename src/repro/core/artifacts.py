@@ -1,28 +1,34 @@
-"""Typed artifacts flowing through the staged authentication engine.
+"""Typed artifacts of the Fig. 4 sequence, and the decision both engines return.
 
-The data contracts of the Fig. 4 sequence::
+The data contracts of the staged reference engine::
 
     Recording → Repaired → Preprocessed → Segments → Features → Scores
               → AuthDecision
 
-Each artifact is a frozen dataclass produced by one stage of
-:mod:`repro.core.stages` and consumed by the next; the PIN verdict and
-degradation events ride along the chain so the final decision can
-report them. :func:`_integrate` (the Section IV-B.3 results
-integration rule) lives here with :class:`AuthDecision` because it is
-part of the decision contract, not of any one stage.
+Each intermediate artifact is a frozen dataclass produced by one stage
+of :mod:`repro.core.stages` and consumed by the next; the PIN verdict
+and degradation events ride along the chain so the final decision can
+report them. :class:`AuthDecision` is also what the fused
+:class:`~repro.core.hotpath.HotAuthPipeline` returns, and
+:func:`_integrate` (the Section IV-B.3 results integration rule) lives
+with it because it is part of the decision contract, not of any one
+stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from ..types import InputCase, SegmentedKeystroke
 from .degradation import DegradationEvent
 
+if TYPE_CHECKING:
+    from ..types import PinEntryTrial
+    from .models import WaveformModel
+    from .pipeline import PreprocessedTrial
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,6 @@ class AuthDecision:
         passes: per-key pass flags aligned with ``keys_checked``.
         degradation: rungs of the degradation ladder taken before the
             decision (empty when no policy ran or nothing was wrong).
-        stage_timings: per-stage wall time in seconds, ``(name, s)`` in
-            execution order — observability metadata only, attached when
-            the pipeline ran with ``profile=True`` and shared by every
-            decision of the same batch. Never part of the parity
-            contract: the numeric fields above are computed identically
-            with and without profiling.
     """
 
     accepted: bool
@@ -157,7 +157,6 @@ class AuthDecision:
     keys_checked: Tuple[str, ...] = field(default_factory=tuple)
     passes: Tuple[bool, ...] = field(default_factory=tuple)
     degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
-    stage_timings: Optional[Tuple[Tuple[str, float], ...]] = None
 
 
 def _integrate(passes: Tuple[bool, ...]) -> bool:

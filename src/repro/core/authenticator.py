@@ -9,24 +9,22 @@ authentication with results integration. A typical session::
     decision = auth.authenticate(probe_trial)
 
 P2Auth holds no pipeline logic of its own: it verifies the PIN and
-hands a single probe to a cached fused
-:class:`~repro.core.hotpath.HotAuthPipeline` — the engine behind the
-registry, the session manager, the streaming front-end and the HTTP
-service. Batches (:meth:`P2Auth.authenticate_many`), the evaluation
-harness's preprocessed path, ``profile=True`` and the parity suite use
-the staged :class:`~repro.core.stages.AuthPipeline`; both engines
-return bit-identical decisions.
+hands the probe to a cached fused
+:class:`~repro.core.hotpath.HotAuthPipeline` — the one engine behind
+the registry, the session manager, the streaming front-end, the
+evaluation harness and the HTTP service.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import PipelineConfig
 from ..errors import EnrollmentError
 from ..features import warm_engine
 from ..types import PinEntryTrial
+from .artifacts import AuthDecision
 from .degradation import DegradationPolicy
 from .enrollment import (
     EnrolledModels,
@@ -36,7 +34,6 @@ from .enrollment import (
 )
 from .hotpath import HotAuthPipeline
 from .pin import PinVerifier
-from .stages import AuthDecision, AuthPipeline
 
 
 class P2Auth:
@@ -71,11 +68,10 @@ class P2Auth:
         self._options = options if options is not None else EnrollmentOptions()
         self._policy = policy
         # Lazy engine builds are double-checked against this lock; the
-        # unlocked fast-path reads in `pipeline`/`hot_pipeline` are the
-        # deliberate (suppressed) half of that pattern.
+        # unlocked fast-path reads in `hot_pipeline` are the deliberate
+        # (suppressed) half of that pattern.
         self._engine_lock = threading.Lock()
         self._models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
-        self._stage_pipeline: Optional[AuthPipeline] = None  # guarded-by: _engine_lock
         self._hot_pipeline: Optional[HotAuthPipeline] = None  # guarded-by: _engine_lock
         # Move the one-off C-kernel compile/load off the request path:
         # constructing an authenticator is the natural "service starting"
@@ -118,44 +114,12 @@ class P2Auth:
         return self._policy
 
     @property
-    def pipeline(self) -> AuthPipeline:
-        """The staged engine behind batches and ``profile=True`` (raises
-        before enrollment). Rebuilt automatically when the models change
+    def hot_pipeline(self) -> HotAuthPipeline:
+        """The fused engine behind :meth:`authenticate` (raises before
+        enrollment). Rebuilt automatically when the models change
         (re-enrollment, archive load)."""
         # Double-checked lazy build: the unlocked read is safe because
         # assignment publishes a fully constructed pipeline atomically.
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        models = self._models
-        if models is None:
-            raise EnrollmentError("enroll a user before authenticating")
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        pipeline = self._stage_pipeline
-        if pipeline is not None and pipeline.models is models:
-            return pipeline
-        with self._engine_lock:
-            models = self._models
-            if models is None:  # pragma: no cover - raced with un-enroll
-                raise EnrollmentError("enroll a user before authenticating")
-            if (
-                self._stage_pipeline is None
-                or self._stage_pipeline.models is not models
-            ):
-                self._stage_pipeline = AuthPipeline(
-                    models,
-                    config=self._config,
-                    policy=self._policy,
-                    no_pin_mode=self.no_pin_mode,
-                )
-            return self._stage_pipeline
-
-    @property
-    def hot_pipeline(self) -> HotAuthPipeline:
-        """The fused engine behind :meth:`authenticate` (raises before
-        enrollment).
-
-        Bit-identical to :attr:`pipeline` decision-for-decision; rebuilt
-        automatically when the models change, like the staged one.
-        """
         # reprolint: disable-next=RL010 -- deliberate unlocked fast path
         models = self._models
         if models is None:
@@ -221,7 +185,6 @@ class P2Auth:
         )
         with self._engine_lock:
             self._models = models
-            self._stage_pipeline = None
             self._hot_pipeline = None
         return self
 
@@ -237,26 +200,22 @@ class P2Auth:
         self,
         trial: PinEntryTrial,
         claimed_pin: Optional[str] = None,
-        profile: bool = False,
     ) -> AuthDecision:
         """Authenticate one PIN-entry trial.
 
         Runs the fused :class:`~repro.core.hotpath.HotAuthPipeline`: no
         intermediate stage artifacts, per-thread scratch buffers shared
         across users, and the pre-marshalled C-kernel call. Decisions
-        and exceptions are bit-identical to the staged
-        :attr:`pipeline` (pinned by ``tests/test_stage_parity.py``).
-        Call :meth:`warmup` first to keep one-off costs out of the
-        request; see ``docs/performance.md`` for the latency budget.
+        and exceptions are bit-identical to the staged reference engine
+        :class:`~repro.core.stages.AuthPipeline` (pinned by
+        ``tests/test_stage_parity.py``). Call :meth:`warmup` first to
+        keep one-off costs out of the request; see
+        ``docs/performance.md`` for the latency budget.
 
         Args:
             trial: the probe trial.
             claimed_pin: the PIN the typist entered; defaults to the
                 digits recorded in the trial.
-            profile: run the staged engine instead and attach its
-                per-stage wall times to the decision
-                (``AuthDecision.stage_timings``); observability only,
-                the decision itself is unchanged.
 
         Returns:
             The authentication decision.
@@ -267,37 +226,4 @@ class P2Auth:
                 budget, too few usable channels, failed quality gate).
         """
         pin_ok = self._pin_verdict(trial, claimed_pin)
-        if profile:
-            return self.pipeline.run([trial], [pin_ok], profile=True)[0]
         return self.hot_pipeline.authenticate(trial, pin_ok)
-
-    def authenticate_many(
-        self,
-        trials: Sequence[PinEntryTrial],
-        claimed_pins: Optional[Sequence[Optional[str]]] = None,
-        profile: bool = False,
-    ) -> List[AuthDecision]:
-        """Authenticate a batch of probe trials in one pipeline pass.
-
-        Decision-for-decision identical to calling :meth:`authenticate`
-        in a loop, but runs the staged engine with the preprocessing
-        batched (shared-shape trials detrend as one banded solve).
-
-        Args:
-            trials: the probe trials.
-            claimed_pins: entered PINs, aligned with ``trials``; each
-                ``None`` entry defaults to that trial's recorded digits.
-            profile: attach per-stage wall times to every decision of
-                the batch (shared timings; observability only).
-        """
-        if claimed_pins is None:
-            claimed_pins = [None] * len(trials)
-        if len(claimed_pins) != len(trials):
-            raise EnrollmentError(
-                f"got {len(trials)} trials but {len(claimed_pins)} PINs"
-            )
-        verdicts = [
-            self._pin_verdict(trial, pin)
-            for trial, pin in zip(trials, claimed_pins)
-        ]
-        return self.pipeline.run(trials, verdicts, profile=profile)

@@ -24,7 +24,7 @@ pipeline::
 
 Every rung taken is recorded as a :class:`DegradationEvent`;
 :class:`~repro.core.session.SessionManager` copies them into its audit
-log, and :class:`~repro.core.authentication.AuthDecision` carries them
+log, and :class:`~repro.core.artifacts.AuthDecision` carries them
 to callers.
 
 On a clean trial the ladder is a no-op: ``apply_policy`` returns the

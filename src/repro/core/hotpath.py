@@ -1,12 +1,12 @@
-"""The fused single-probe authentication engine.
+"""The authentication engine: one fused pass per probe.
 
 :class:`HotAuthPipeline` is what :meth:`P2Auth.authenticate
 <repro.core.authenticator.P2Auth.authenticate>` runs, and through it
-the registry, session manager, streaming front-end and HTTP service.
-It runs the same Fig. 4 sequence as the staged
-:class:`~repro.core.stages.AuthPipeline` (which keeps serving batches,
-the eval path, ``profile=True`` and the parity suite), but composed
-for per-probe latency instead of batch throughput:
+the registry, session manager, streaming front-end, evaluation harness
+and HTTP service; no other engine serves a decision. It runs the same
+Fig. 4 sequence as the staged :class:`~repro.core.stages.AuthPipeline`,
+which the parity suite keeps as its reference, but composed for
+per-probe latency:
 
 - **No intermediate artifacts.** The staged engine materializes a
   ``Recording → Repaired → Preprocessed → Segments → Features → Scores``
@@ -152,12 +152,12 @@ def clear_thread_buffers() -> None:
 
 
 class HotAuthPipeline:
-    """Fused, buffer-reusing variant of the staged authentication path.
+    """The fused, buffer-reusing authentication engine.
 
     Args:
         models: the enrolled user's models.
-        config: pipeline constants; defaults to ``models.config`` (same
-            precedence as :class:`~repro.core.stages.AuthPipeline`).
+        config: pipeline constants; defaults to ``models.config`` (the
+            façade passes its own, which wins when the two differ).
         policy: graceful-degradation policy (``None`` disables it).
         no_pin_mode: authenticate by keystroke pattern alone.
 

@@ -19,26 +19,16 @@ import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Protocol, Sequence, Union
 
 from ..concurrency import assert_owned, checked_rlock
 from ..config import PipelineConfig
-from ..errors import (
-    AuthenticationError,
-    ConfigurationError,
-    EnrollmentError,
-    NotFittedError,
-)
-from ..features import transform_stacked
+from ..errors import ConfigurationError
 from ..types import PinEntryTrial
-from .artifacts import FeatureBlock, Features, Recording
+from .artifacts import AuthDecision
 from .authenticator import P2Auth
 from .degradation import DegradationPolicy
 from .enrollment import EnrollmentOptions, NegativeBank
-from .models import WaveformModel
-from .stages import AuthDecision
 
 _USER_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
@@ -348,228 +338,6 @@ class ModelRegistry:
     ) -> AuthDecision:
         """Authenticate a probe against one user's models."""
         return self.get(user_id).authenticate(trial, claimed_pin=claimed_pin)
-
-    @staticmethod
-    def _enqueue_featurize(
-        pending: List[Tuple[WaveformModel, np.ndarray]],
-        model: WaveformModel,
-        x: np.ndarray,
-    ) -> int:
-        # The pre-transform half of stages._featurize_one, with the
-        # transform itself deferred so same-shape tasks can stack.
-        if not model._fitted:
-            raise NotFittedError("WaveformModel.fit has not been called")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[np.newaxis]
-        pending.append((model, x))
-        return len(pending) - 1
-
-    @staticmethod
-    def _run_featurize_tasks(
-        pending: List[Tuple[WaveformModel, np.ndarray]],
-    ) -> List[np.ndarray]:
-        """Compute each pending task's standardized feature row.
-
-        Single-instance rocket tasks whose extractors share a fitted
-        shape and dilation schedule are stacked into one compiled
-        transform call carrying per-instance bias tables
-        (:func:`~repro.features.transform_stacked`); everything else —
-        manual/raw models, odd shapes, no compiled kernel — falls back
-        to the per-task ``_featurize`` the staged engine runs. Either
-        way each task's features are bit-identical to its solo call:
-        the kernel processes instances independently and the
-        standardization is row-wise.
-        """
-        features_out: List[Optional[np.ndarray]] = [None] * len(pending)
-        groups: Dict[tuple, List[int]] = {}
-        for ti, (model, x) in enumerate(pending):
-            rocket = model._rocket
-            if (
-                model.feature_method == "rocket"
-                and rocket is not None
-                and rocket._fitted
-                and model._scaler is not None
-                and x.shape[0] == 1
-            ):
-                key = (
-                    x.shape,
-                    tuple(int(d) for d in rocket._dilations),
-                    tuple(int(f) for f in rocket._features_per_dilation),
-                )
-                groups.setdefault(key, []).append(ti)
-            else:
-                features_out[ti] = model._featurize(x, fit=False)
-        for task_ids in groups.values():
-            raw = None
-            if len(task_ids) > 1:
-                stacked = np.concatenate(
-                    [pending[ti][1] for ti in task_ids], axis=0
-                )
-                raw = transform_stacked(
-                    [pending[ti][0]._rocket for ti in task_ids], stacked
-                )
-            if raw is None:
-                for ti in task_ids:
-                    model, x = pending[ti]
-                    features_out[ti] = model._featurize(x, fit=False)
-            else:
-                for j, ti in enumerate(task_ids):
-                    scaler = pending[ti][0]._scaler
-                    assert scaler is not None
-                    features_out[ti] = scaler.transform(raw[j : j + 1])
-        return [f for f in features_out if f is not None]
-
-    def authenticate_many(
-        self,
-        user_ids: Sequence[str],
-        trials: Sequence[PinEntryTrial],
-        claimed_pins: Optional[Sequence[Optional[str]]] = None,
-    ) -> List[AuthDecision]:
-        """Authenticate a batch of probes, each against its own user.
-
-        Decision-for-decision identical to calling :meth:`authenticate`
-        per item (pinned by ``tests/test_stage_parity.py``), but the
-        heavy stages batch *across users*:
-
-        - preprocessing groups items by pipeline config, so same-shape
-          trials of different users detrend as one banded solve;
-        - feature extraction stacks same-schedule probes into a single
-          compiled MiniRocket call with per-instance bias tables — one
-          kernel invocation serves every user in the batch.
-
-        Wrong-PIN probes short-circuit before any signal processing,
-        exactly as in the single-probe path. Errors surface in stage
-        order (lookup, PIN, preprocess, featurize) rather than strict
-        item order; the decisions themselves never differ from the
-        loop.
-
-        Args:
-            user_ids: claimed identity per probe, aligned with
-                ``trials``.
-            trials: the probe trials.
-            claimed_pins: entered PINs, aligned with ``trials``; each
-                ``None`` entry defaults to that trial's recorded
-                digits.
-        """
-        if len(user_ids) != len(trials):
-            raise ConfigurationError(
-                f"got {len(trials)} trials but {len(user_ids)} user ids"
-            )
-        if claimed_pins is None:
-            claimed_pins = [None] * len(trials)
-        if len(claimed_pins) != len(trials):
-            raise EnrollmentError(
-                f"got {len(trials)} trials but {len(claimed_pins)} PINs"
-            )
-        auths = [self.get(user_id) for user_id in user_ids]
-        pipelines = [auth.pipeline for auth in auths]
-        verdicts = [
-            auth._pin_verdict(trial, pin)
-            for auth, trial, pin in zip(auths, trials, claimed_pins)
-        ]
-
-        results: List[Optional[AuthDecision]] = [None] * len(trials)
-        live: List[int] = []
-        for i, (pipeline, verdict) in enumerate(zip(pipelines, verdicts)):
-            if not pipeline.no_pin_mode:
-                if verdict is None:
-                    raise AuthenticationError(
-                        "pin_ok is required outside NO-PIN mode"
-                    )
-                if not verdict:
-                    results[i] = AuthDecision(
-                        accepted=False,
-                        reason="PIN verification failed",
-                        pin_ok=False,
-                    )
-                    continue
-            live.append(i)
-
-        # Repair per item (each user's own degradation policy) ...
-        repaired = {
-            i: pipelines[i].repair.run(
-                [Recording(trial=trials[i], pin_ok=verdicts[i])]
-            )[0]
-            for i in live
-        }
-        # ... then preprocess batched by config: the batch members are
-        # per-trial independent (shape-grouped stacked detrend solves
-        # each right-hand side on its own), so outputs match the
-        # per-item runs bit for bit.
-        config_groups: Dict[PipelineConfig, List[int]] = {}
-        for i in live:
-            config_groups.setdefault(pipelines[i].config, []).append(i)
-        pre = {}
-        for idxs in config_groups.values():
-            outs = pipelines[idxs[0]].preprocess.run(
-                [repaired[i] for i in idxs]
-            )
-            pre.update(zip(idxs, outs))
-
-        # Segment per item, deferring each block's feature transform.
-        pending: List[Tuple[WaveformModel, np.ndarray]] = []
-        item_blocks: Dict[
-            int, List[Tuple[Optional[str], Optional[WaveformModel],
-                            Optional[int]]]
-        ] = {}
-        segs = {}
-        for i in live:
-            seg = pipelines[i].segment.run([pre[i]])[0]
-            segs[i] = seg
-            models = pipelines[i].models
-            entries: List[
-                Tuple[Optional[str], Optional[WaveformModel], Optional[int]]
-            ] = []
-            if seg.route == "keystrokes":
-                for segment in seg.segments:
-                    model = models.key_models.get(segment.key)
-                    if model is None:
-                        entries.append((segment.key, None, None))
-                    else:
-                        entries.append((
-                            segment.key,
-                            model,
-                            self._enqueue_featurize(
-                                pending, model, segment.samples
-                            ),
-                        ))
-            elif seg.route in ("full", "fused"):
-                model = (
-                    models.fused_model
-                    if seg.route == "fused"
-                    else models.full_model
-                )
-                assert model is not None and seg.waveform is not None
-                entries.append((
-                    None,
-                    model,
-                    self._enqueue_featurize(pending, model, seg.waveform),
-                ))
-            item_blocks[i] = entries
-
-        task_features = self._run_featurize_tasks(pending)
-
-        for i in live:
-            seg = segs[i]
-            blocks = tuple(
-                FeatureBlock(
-                    key, model, None if ti is None else task_features[ti]
-                )
-                for key, model, ti in item_blocks[i]
-            )
-            features = Features(
-                case=seg.case,
-                route=seg.route,
-                detected=seg.detected,
-                blocks=blocks,
-                label=seg.label,
-                pin_ok=seg.pin_ok,
-                degradation=seg.degradation,
-            )
-            scores = pipelines[i].classify.run([features])[0]
-            results[i] = pipelines[i].decide.run([scores])[0]
-        return [r for r in results if r is not None]
 
     def evict(self, user_id: str) -> bool:
         """Drop a user from memory (backend copy, if any, is kept).

@@ -39,7 +39,7 @@ from ..errors import (
     QualityError,
 )
 from ..types import PinEntryTrial, PPGRecording
-from .authentication import AuthDecision
+from .artifacts import AuthDecision
 from .authenticator import P2Auth
 from .wear import WearStatus, detect_wear
 

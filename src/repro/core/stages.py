@@ -1,4 +1,4 @@
-"""The staged authentication engine: batches, eval and profiling.
+"""The staged authentication engine: the parity suite's reference.
 
 The Fig. 4 authentication sequence, decomposed into typed stages with
 explicit artifacts::
@@ -7,14 +7,13 @@ explicit artifacts::
               → AuthDecision
 
 Every stage is a small object satisfying the :class:`Stage` protocol
-(``run(items) -> outputs``); batch-first signatures keep the vectorized
-preprocessing (:func:`~repro.core.pipeline.preprocess_trials`) and the
-multi-RHS classifier paths hot. :class:`AuthPipeline` composes the six
-stages; batches (``P2Auth.authenticate_many`` and the registry's),
-the evaluation harness's ``run_preprocessed``, ``profile=True`` and
-the parity suite run through it. Single probes run the fused
-:class:`~repro.core.hotpath.HotAuthPipeline`, which the parity suite
-pins bit-identical to this pipeline.
+(``run(items) -> outputs``), and :class:`AuthPipeline` composes the
+six. No request runs this engine: every probe runs the fused
+:class:`~repro.core.hotpath.HotAuthPipeline`, and the parity suite
+compares the two decision for decision. This module stays in the
+package because perfbench's traced launcher
+(``perfbench/benchlib/traced_serve.py``) imports it and wraps each
+stage's ``run`` to name its per-stage layers.
 
 Each stage wraps the pre-existing functions (``apply_policy``,
 ``preprocess_trials``, segmentation/fusion, ``WaveformModel._featurize``,
@@ -60,7 +59,7 @@ from .models import (
     extract_fused_waveform,
     extract_segments,
 )
-from .pipeline import PreprocessedTrial, preprocess_trials
+from .pipeline import preprocess_trials
 
 In = TypeVar("In", contravariant=True)
 Out = TypeVar("Out", covariant=True)
@@ -355,7 +354,7 @@ class DecideStage:
 
 
 class AuthPipeline:
-    """The six stages composed into the one authentication path.
+    """The six stages composed into the reference authentication path.
 
     Args:
         models: the enrolled user's models.
@@ -398,38 +397,10 @@ class AuthPipeline:
             self.decide,
         )
 
-    @staticmethod
-    def _execute(
-        items: Sequence, stages: Tuple[Stage, ...], profile: bool
-    ) -> List[AuthDecision]:
-        """Run a stage chain; optionally attach per-stage wall times.
-
-        Profiling wraps each stage's batch call in ``profile_call`` and
-        never touches the artifacts themselves, so the numeric path is
-        identical with and without it — only the observability field
-        ``AuthDecision.stage_timings`` differs.
-        """
-        if not profile:
-            for stage in stages:
-                items = stage.run(items)
-            return list(items)
-        from dataclasses import replace
-
-        from ..eval.profiling import profile_call
-
-        timings: List[Tuple[str, float]] = []
-        for stage in stages:
-            run = profile_call(lambda s=stage, batch=items: s.run(batch))
-            items = run.result
-            timings.append((stage.name, run.seconds))
-        frozen = tuple(timings)
-        return [replace(d, stage_timings=frozen) for d in items]
-
     def run(
         self,
         trials: Sequence[PinEntryTrial],
         pin_oks: Optional[Sequence[Optional[bool]]] = None,
-        profile: bool = False,
     ) -> List[AuthDecision]:
         """Authenticate a batch of raw probe trials.
 
@@ -441,9 +412,6 @@ class AuthPipeline:
             trials: the probe trials.
             pin_oks: per-trial PIN verdicts (``None`` entries only in
                 NO-PIN mode).
-            profile: attach per-stage wall times to the decisions (see
-                :meth:`_execute`); short-circuited wrong-PIN decisions
-                carry no timings because no stage ran for them.
         """
         if pin_oks is None:
             pin_oks = [None] * len(trials)
@@ -470,36 +438,9 @@ class AuthPipeline:
             live.append(Recording(trial=trial, pin_ok=pin_ok))
             live_at.append(i)
         if live:
-            decisions = self._execute(live, self.stages, profile)
-            for i, decision in zip(live_at, decisions):
-                results[i] = decision
-        return [r for r in results if r is not None]
-
-    def run_preprocessed(
-        self, items: Sequence[Preprocessed], profile: bool = False
-    ) -> List[AuthDecision]:
-        """Authenticate already-preprocessed probes (eval hot path)."""
-        results: List[Optional[AuthDecision]] = [None] * len(items)
-        live: List[Preprocessed] = []
-        live_at: List[int] = []
-        for i, item in enumerate(items):
-            if not self.no_pin_mode:
-                if item.pin_ok is None:
-                    raise AuthenticationError(
-                        "pin_ok is required outside NO-PIN mode"
-                    )
-                if not item.pin_ok:
-                    results[i] = AuthDecision(
-                        accepted=False,
-                        reason="PIN verification failed",
-                        pin_ok=False,
-                    )
-                    continue
-            live.append(item)
-            live_at.append(i)
-        if live:
-            stages = (self.segment, self.featurize, self.classify, self.decide)
-            decisions = self._execute(live, stages, profile)
-            for i, decision in zip(live_at, decisions):
+            items: Sequence = live
+            for stage in self.stages:
+                items = stage.run(items)
+            for i, decision in zip(live_at, items):
                 results[i] = decision
         return [r for r in results if r is not None]

@@ -1,10 +1,11 @@
 """Online (streaming) keystroke detection.
 
-The batch pipeline assumes the whole PIN entry is buffered before
-processing. A wearable, however, sees PPG samples arrive continuously,
-and the paper's real-time requirement (Section I) means keystroke
-events should be detected as the stream flows. This module provides a
-causal counterpart of the detection stages:
+The preprocessing pipeline (:mod:`repro.core.pipeline`) assumes the
+whole PIN entry is buffered before processing. A wearable, however,
+sees PPG samples arrive continuously, and the paper's real-time
+requirement (Section I) means keystroke events should be detected as
+the stream flows. This module provides a causal counterpart of the
+detection stages:
 
 - baseline removal by an exponential moving average (the causal stand-in
   for smoothness-priors detrending);
@@ -16,7 +17,9 @@ causal counterpart of the detection stages:
   keystroke at the energy apex.
 
 The streaming detector feeds the same downstream machinery: its event
-indices can be used directly as segment centers.
+indices can be used directly as segment centers, and
+:class:`StreamingAuthenticator` hands the assembled entry to
+``P2Auth.authenticate``, the fused engine every probe runs.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from ..errors import AuthenticationError, ConfigurationError, SignalError
 from ..types import ChannelInfo, KeystrokeEvent, PinEntryTrial, PPGRecording
 
 if TYPE_CHECKING:
+    from .artifacts import AuthDecision
     from .authenticator import P2Auth
-    from .stages import AuthDecision
 
 
 @dataclass(frozen=True)
@@ -324,9 +327,8 @@ class StreamingAuthenticator:  # concurrency: thread-hostile
         user_id: int = -1,
         reported_times: Optional[Sequence[float]] = None,
         one_handed: bool = True,
-        profile: bool = False,
     ) -> "AuthDecision":
-        """End the entry and authenticate it through the stage pipeline.
+        """End the entry and authenticate it through :meth:`P2Auth.authenticate`.
 
         Args:
             pin: the digits the typist entered on the phone.
@@ -338,13 +340,9 @@ class StreamingAuthenticator:  # concurrency: thread-hostile
                 stand in — which requires the detector to have found
                 exactly one keystroke per digit.
             one_handed: whether the entry was typed one-handed.
-            profile: attach per-stage wall times to the decision
-                (``AuthDecision.stage_timings``), forwarded to
-                :meth:`P2Auth.authenticate`; observability only, the
-                decision itself is unchanged.
 
         Returns:
-            The :class:`~repro.core.stages.AuthDecision`.
+            The :class:`~repro.core.artifacts.AuthDecision`.
 
         Raises:
             AuthenticationError: when nothing was streamed, or the
@@ -389,6 +387,4 @@ class StreamingAuthenticator:  # concurrency: thread-hostile
             one_handed=one_handed,
         )
         entered = claimed_pin if claimed_pin is not None else pin
-        return self._auth.authenticate(
-            trial, claimed_pin=entered, profile=profile
-        )
+        return self._auth.authenticate(trial, claimed_pin=entered)

@@ -88,7 +88,7 @@ class AuthenticationError(P2AuthError):
     """An authentication request was malformed (not a mere rejection).
 
     A *rejected* attempt is a normal outcome and is reported through
-    :class:`repro.core.authentication.AuthDecision`; this exception is for
+    :class:`repro.core.artifacts.AuthDecision`; this exception is for
     requests the system cannot evaluate at all, such as a trial whose PPG
     recording does not cover the keystroke timestamps.
     """

@@ -10,12 +10,7 @@ and `dtw` the banded dynamic-time-warping distance they rely on.
 
 from .dtw import dtw_distance
 from .manual import ManualFeatureExtractor, manual_feature_names
-from .minirocket import (
-    MiniRocket,
-    c_kernel_available,
-    transform_stacked,
-    warm_engine,
-)
+from .minirocket import MiniRocket, c_kernel_available, warm_engine
 
 __all__ = [
     "MiniRocket",
@@ -23,6 +18,5 @@ __all__ = [
     "manual_feature_names",
     "dtw_distance",
     "c_kernel_available",
-    "transform_stacked",
     "warm_engine",
 ]

@@ -102,13 +102,6 @@ def _load() -> Optional[ctypes.CDLL]:
                 i64, i64, c_i64,           # dilations, nfeat, ndil
                 f64, f64, c_i64,           # biases, out, total_features
             ]
-            lib.mr_transform_strided.restype = ctypes.c_int
-            lib.mr_transform_strided.argtypes = [
-                f64, c_i64, c_i64, c_i64,  # x, n, channels, length
-                i64, i64, c_i64,           # dilations, nfeat, ndil
-                f64, c_i64,                # biases, bias_stride
-                f64, c_i64,                # out, total_features
-            ]
             _lib = lib
         # Intended silent fallback: any build/load failure demotes to the
         # pure-NumPy engine; minirocket._resolve_engine reports availability
@@ -207,60 +200,3 @@ def transform_prepared(
     if status != 0:
         return None
     return out
-
-
-def transform_prepared_multi(
-    plans: List[TransformPlan],
-    x: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
-    """One compiled call where each instance has its own bias plan.
-
-    The cross-user batching primitive: ``x[i]`` is transformed against
-    ``plans[i]`` — one enrolled extractor per probe — in a single
-    kernel invocation. All plans must agree on the dilation schedule
-    and feature counts (extractors fitted at the same shape and budget
-    differ only in their bias tables); ``None`` is returned otherwise,
-    or when the kernel is unavailable or declines the shape. Row ``i``
-    of the output is bit-identical to
-    ``transform_prepared(plans[i], x[i:i+1])`` because the kernel
-    processes instances independently.
-
-    Args:
-        plans: one :func:`prepare` result per instance of ``x``.
-        x: C-contiguous float64 input, shape ``(n, channels, length)``.
-        out: optional preallocated ``(n, n_features_out)`` buffer.
-    """
-    lib = _load()
-    if lib is None:
-        return None
-    n, channels, length = x.shape
-    if len(plans) != n:
-        raise ValueError(f"got {n} instances but {len(plans)} plans")
-    head = plans[0]
-    for plan in plans[1:]:
-        if (
-            plan.n_features_out != head.n_features_out
-            or not np.array_equal(plan.dilations, head.dilations)
-            or not np.array_equal(
-                plan.features_per_dilation, head.features_per_dilation
-            )
-        ):
-            return None
-    stacked = np.ascontiguousarray(
-        np.stack([plan.flat_biases for plan in plans])
-    )
-    if out is None:
-        out = np.empty((n, head.n_features_out))
-    elif out.shape != (n, head.n_features_out):
-        raise ValueError(
-            f"out has shape {out.shape}, expected {(n, head.n_features_out)}"
-        )
-    status = lib.mr_transform_strided(
-        x, n, channels, length, head.dilations, head.features_per_dilation,
-        head.n_dilations, stacked, stacked.shape[1], out, head.n_features_out,
-    )
-    if status != 0:
-        return None
-    return out
-

@@ -225,52 +225,6 @@ def warm_engine(engine: Optional[str] = None) -> str:
         raise
 
 
-def transform_stacked(
-    rockets: List["MiniRocket"], x: np.ndarray
-) -> Optional[np.ndarray]:
-    """Transform one instance per fitted extractor in a single C call.
-
-    The cross-user hot path: ``x[i]`` is transformed by ``rockets[i]``
-    (typically one enrolled user's extractor each), with all instances
-    batched into one compiled-kernel invocation carrying per-instance
-    bias tables. Row ``i`` is bit-identical to
-    ``rockets[i].transform(x[i:i + 1])`` — the kernel processes
-    instances independently — which is what lets a registry batch
-    probes across users without perturbing any decision.
-
-    Returns ``None`` whenever stacking does not apply — extractors not
-    all fitted at the same shape/schedule, an engine not resolving to
-    the compiled kernel, or the kernel declining — and the caller
-    falls back to the per-extractor loop it replaces.
-
-    Args:
-        rockets: fitted extractors, one per instance of ``x``.
-        x: input of shape ``(n, channels, length)``.
-    """
-    x = np.asarray(x)
-    if x.dtype != np.float64 or not x.flags.c_contiguous:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] == 0 or len(rockets) != x.shape[0]:
-        return None
-    plans: List[_ckernel.TransformPlan] = []
-    for rocket in rockets:
-        if not rocket._fitted:
-            return None
-        if (rocket._n_channels, rocket._input_length) != x.shape[1:]:
-            return None
-        try:
-            engine = _resolve_engine(rocket.engine)
-        except ConfigurationError:
-            return None
-        if engine != "c":
-            return None
-        plan = rocket._c_plan()
-        if plan is None:
-            return None
-        plans.append(plan)
-    return _ckernel.transform_prepared_multi(plans, x)
-
-
 class MiniRocket:
     """The MiniRocket transform.
 

@@ -38,22 +38,14 @@
 
 /* Returns 0 on success, 1 when the series is too long for the
  * stack-allocated work buffers (the caller falls back to NumPy).
- *
- * bias_stride selects between one shared bias table (0, the classic
- * single-extractor call) and one table per instance (the element
- * count between consecutive instances' tables) — which is how a batch
- * of probes against *different users'* extractors runs as one call:
- * instance i reads only its own table, exactly as a single-instance
- * call with that table would, so the rows are bit-identical either
- * way. */
-int mr_transform_strided(
+ * Every instance reads the one shared bias table. */
+int mr_transform(
     const double *x,          /* (n, channels, length), C-order */
     int64_t n, int64_t channels, int64_t length,
     const int64_t *dilations, /* (ndil,) */
     const int64_t *nfeat,     /* (ndil,) features per kernel per dilation */
     int64_t ndil,
     const double *biases,     /* concat over (ch, dil) of (84, nf) rows */
-    int64_t bias_stride,      /* elements between instances' tables; 0 = shared */
     double *out,              /* (n, total_features), C-order */
     int64_t total_features)
 {
@@ -75,8 +67,7 @@ int mr_transform_strided(
         int64_t col = 0;
         for (int64_t ch = 0; ch < channels; ++ch) {
             const double *xr = x + (inst * channels + ch) * L;
-            const double *bp = biases + inst * bias_stride
-                + ch * per_channel_biases;
+            const double *bp = biases + ch * per_channel_biases;
 
             for (int64_t di = 0; di < ndil; ++di) {
                 const int64_t d = dilations[di];
@@ -175,19 +166,4 @@ int mr_transform_strided(
         }
     }
     return 0;
-}
-
-/* The classic entry point: every instance shares one bias table. */
-int mr_transform(
-    const double *x,
-    int64_t n, int64_t channels, int64_t length,
-    const int64_t *dilations,
-    const int64_t *nfeat,
-    int64_t ndil,
-    const double *biases,
-    double *out,
-    int64_t total_features)
-{
-    return mr_transform_strided(x, n, channels, length, dilations, nfeat,
-                                ndil, biases, 0, out, total_features);
 }

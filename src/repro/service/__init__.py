@@ -25,10 +25,8 @@ from .protocol import (
     EnrollCompleteRequest,
     EnrollCompleteResponse,
     decode_trial,
-    derive_proof_key,
     encode_trial,
     pin_proof,
-    proof_from_key,
 )
 
 __all__ = [
@@ -40,10 +38,8 @@ __all__ = [
     "EnrollCompleteResponse",
     "EnrollmentWindow",
     "decode_trial",
-    "derive_proof_key",
     "encode_trial",
     "make_app",
     "pin_proof",
-    "proof_from_key",
     "serve",
 ]

@@ -55,6 +55,10 @@ _log = logging.getLogger(__name__)
 #: largest legitimate payload; a 10-trial batch is well under this).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Header lines one request may carry, the limit ``http.client`` sets
+#: too; with each line capped at 64 KiB this bounds a request head.
+MAX_HEADERS = 100
+
 _REASONS = {  # concurrency: immutable-after-init
     200: "OK",
     400: "Bad Request",
@@ -302,10 +306,14 @@ async def _read_request(
         raise ProtocolError(f"malformed request line {request_line!r}")
     method, target, _version = parts
     headers: Dict[str, str] = {}
+    count = 0
     while True:
         line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
+        count += 1
+        if count > MAX_HEADERS:
+            raise ProtocolError(f"more than {MAX_HEADERS} header lines")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     # ASCII digits only: int() alone takes "+5" and "1_000", isdigit()
@@ -393,4 +401,4 @@ async def serve(
         await server.serve_forever()
 
 
-__all__ = ["MAX_BODY_BYTES", "make_app", "serve"]
+__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "make_app", "serve"]

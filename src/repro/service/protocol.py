@@ -72,10 +72,6 @@ def make_pin(length: int = DEFAULT_PIN_LENGTH) -> str:
     return "".join(secrets.choice("0123456789") for _ in range(length))
 
 
-def _proof_msg(user_id: str, nonce: str) -> bytes:
-    return user_id.encode("utf-8") + b"|" + nonce.encode("utf-8")
-
-
 def pin_proof(pin: str, user_id: str, nonce: str) -> str:
     """``HMAC-SHA256(key=pin, msg=user_id || "|" || nonce)``, hex.
 
@@ -85,48 +81,13 @@ def pin_proof(pin: str, user_id: str, nonce: str) -> str:
     it up in at most 10^4 HMACs. The service assumes TLS on every hop;
     the proof is no defence against an observer without it.
     """
-    return hmac.new(
-        pin.encode("utf-8"), _proof_msg(user_id, nonce), hashlib.sha256
-    ).hexdigest()
+    msg = user_id.encode("utf-8") + b"|" + nonce.encode("utf-8")
+    return hmac.new(pin.encode("utf-8"), msg, hashlib.sha256).hexdigest()
 
 
 def verify_proof(pin: str, user_id: str, nonce: str, proof: str) -> bool:
-    """Constant-time check of a claimed proof against ``pin``.
-
-    Accepts either proof form — the canonical :func:`pin_proof` or the
-    derived-key :func:`proof_from_key` shape — so clients that drop the
-    raw PIN from memory (caching :func:`derive_proof_key` instead)
-    authenticate identically. Both comparisons always run.
-    """
-    claimed = str(proof)
-    direct = hmac.compare_digest(pin_proof(pin, user_id, nonce), claimed)
-    derived = hmac.compare_digest(
-        proof_from_key(derive_proof_key(pin, user_id), user_id, nonce),
-        claimed,
-    )
-    return bool(direct | derived)
-
-
-def derive_proof_key(pin: str, user_id: str) -> str:
-    """A PIN-derived verifier for deployments that avoid storing PINs.
-
-    ``HMAC-SHA256(key=pin, msg="p2auth/proof-key/" || user_id)``: a
-    client that wants to drop the raw PIN from memory between entries
-    can cache this instead and call :func:`proof_from_key`; both sides
-    of the proof exchange then only ever handle the derived key.
-    """
-    return hmac.new(
-        pin.encode("utf-8"),
-        b"p2auth/proof-key/" + user_id.encode("utf-8"),
-        hashlib.sha256,
-    ).hexdigest()
-
-
-def proof_from_key(proof_key: str, user_id: str, nonce: str) -> str:
-    """The proof computed from a cached :func:`derive_proof_key` value."""
-    return hmac.new(
-        proof_key.encode("utf-8"), _proof_msg(user_id, nonce), hashlib.sha256
-    ).hexdigest()
+    """Constant-time check of a claimed :func:`pin_proof` against ``pin``."""
+    return hmac.compare_digest(pin_proof(pin, user_id, nonce), str(proof))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +253,11 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
 
     Raises:
         ProtocolError: on any structural mismatch, including an event
-            count that disagrees with the PIN length.
+            count that disagrees with the PIN length, or a
+            ``reported_time`` outside the recording
+            (``[start_time, start_time + n_samples / fs]``), which
+            calibration would otherwise clamp onto its first or last
+            sample.
     """
     ctx = "trial"
     trial = _require_mapping(payload, ctx)
@@ -308,6 +273,8 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
             f"{ctx}: {len(events_raw)} keystroke events for a "
             f"{len(pin)}-digit PIN"
         )
+    start = recording.start_time
+    end = start + recording.n_samples / recording.fs
     events: List[KeystrokeEvent] = []
     for i, (ev, digit) in enumerate(zip(events_raw, pin)):
         ectx = f"{ctx}.events[{i}]"
@@ -318,11 +285,18 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
             hand = Hand(hand_raw)
         except ValueError:
             raise ProtocolError(f"{ectx}: unknown hand {hand_raw!r}") from None
+        true_time = _get_float(ev, "true_time", ectx)
+        reported_time = _get_float(ev, "reported_time", ectx)
+        if not start <= reported_time <= end:
+            raise ProtocolError(
+                f"{ectx}: reported_time {reported_time!r} lies outside the "
+                f"recording [{start!r}, {end!r}]"
+            )
         events.append(
             KeystrokeEvent(
                 key=digit,
-                true_time=_get_float(ev, "true_time", ectx),
-                reported_time=_get_float(ev, "reported_time", ectx),
+                true_time=true_time,
+                reported_time=reported_time,
                 hand=hand,
             )
         )
@@ -512,11 +486,9 @@ __all__ = [
     "NONCE_BYTES",
     "SessionStatusResponse",
     "decode_trial",
-    "derive_proof_key",
     "encode_trial",
     "make_nonce",
     "make_pin",
     "pin_proof",
-    "proof_from_key",
     "verify_proof",
 ]

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelRegistry, NpzDirectoryBackend
+from repro.core.stages import AuthPipeline
 from repro.eval.featurecache import FeatureCache
 
 from .conftest import PIN
@@ -83,7 +84,13 @@ def run_threads(worker: Callable[[int], None], n_threads: int = THREADS) -> List
 
 def staged_run(auth, trial):
     """One probe through the staged engine (``authenticate`` is fused)."""
-    return auth.pipeline.run([trial], [True])[0]
+    pipeline = AuthPipeline(
+        auth.models,
+        config=auth.config,
+        policy=auth.policy,
+        no_pin_mode=auth.no_pin_mode,
+    )
+    return pipeline.run([trial], [True])[0]
 
 
 class TestSharedHotPath:
@@ -234,19 +241,13 @@ class TestRegistryThrash:
                 # Evicting the *other* user forces the next thread that
                 # wants them through the unlocked backend-load path.
                 registry.evict(other)
-                batch = registry.authenticate_many(
-                    [uid, other],
-                    [user_probes[uid][0], user_probes[other][0]],
-                )
-                got_batch = [decision_key(d) for d in batch]
-                want_batch = [
-                    baseline[(uid, 0)],
-                    baseline[(other, 0)],
+                got_pair = [
+                    decision_key(registry.get(u).authenticate(user_probes[u][0]))
+                    for u in (uid, other)
                 ]
-                if got_batch != want_batch:
-                    local.append(
-                        f"authenticate_many (thread {idx}): {got_batch!r}"
-                    )
+                want_pair = [baseline[(uid, 0)], baseline[(other, 0)]]
+                if got_pair != want_pair:
+                    local.append(f"get+authenticate (thread {idx}): {got_pair!r}")
             if local:
                 with report_lock:
                     mismatches.extend(local[:3])

@@ -1,12 +1,16 @@
 """Unit tests for the authentication phase and results integration."""
 
+import ast
 import dataclasses
+import inspect
+import typing
 
 import numpy as np
 import pytest
 
-from repro.core import authenticate_preprocessed, preprocess_trial
-from repro.core.authentication import _integrate
+from repro.core import artifacts, preprocess_trial
+from repro.core.artifacts import _integrate
+from repro.core.hotpath import HotAuthPipeline
 from repro.errors import AuthenticationError
 from repro.types import InputCase
 
@@ -67,43 +71,60 @@ class TestAuthenticationFlow:
             assert len(decision.keys_checked) >= 2
 
     def test_single_detected_keystroke_rejected(
-        self, enrolled_auth, study_data, pipeline_config
+        self, enrolled_auth, study_data, pipeline_config, monkeypatch
     ):
         trial = study_data.trials(0, PIN, "one_handed", 1)[0]
         pre = preprocess_trial(trial, pipeline_config)
         pre = dataclasses.replace(
             pre, keystroke_detected=(True, False, False, False)
         )
-        decision = authenticate_preprocessed(
-            enrolled_auth.models, pre, pin_ok=True
-        )
+        engine = HotAuthPipeline(enrolled_auth.models)
+        monkeypatch.setattr(engine, "_preprocess_fused", lambda _trial: pre)
+        decision = engine.authenticate(trial, pin_ok=True)
         assert not decision.accepted
         assert decision.input_case is InputCase.REJECT
 
-    def test_unknown_key_counts_as_failure(
-        self, enrolled_auth, study_data, pipeline_config
-    ):
+    def test_unknown_key_counts_as_failure(self, enrolled_auth, study_data):
         """A detected keystroke on a never-enrolled key cannot pass."""
         trial = study_data.trials(0, "5094", "one_handed", 1)[0]
-        pre = preprocess_trial(trial, pipeline_config)
-        decision = authenticate_preprocessed(
-            enrolled_auth.models, pre, pin_ok=True, no_pin_mode=True
-        )
+        engine = HotAuthPipeline(enrolled_auth.models, no_pin_mode=True)
+        decision = engine.authenticate(trial, pin_ok=True)
         assert not any(
             passed
             for key, passed in zip(decision.keys_checked, decision.passes)
             if key not in enrolled_auth.models.key_models
         )
 
-    def test_missing_pin_ok_outside_no_pin_mode(
-        self, enrolled_auth, study_data, pipeline_config
-    ):
+    def test_missing_pin_ok_outside_no_pin_mode(self, enrolled_auth, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 1)[0]
-        pre = preprocess_trial(trial, pipeline_config)
         with pytest.raises(AuthenticationError):
-            authenticate_preprocessed(enrolled_auth.models, pre, pin_ok=None)
+            HotAuthPipeline(enrolled_auth.models).authenticate(trial, pin_ok=None)
 
     def test_privacy_boost_path(self, enrolled_auth_boost, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 8)[7]
         decision = enrolled_auth_boost.authenticate(trial)
         assert "fused" in decision.reason or decision.input_case is not InputCase.ONE_HANDED
+
+
+def _type_checking_namespace(module):
+    """The module's globals plus what its ``if TYPE_CHECKING:`` block
+    imports: the names a type checker resolves annotations against."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            block = ast.Module(body=node.body, type_ignores=[])
+            exec(compile(block, module.__file__, "exec"), namespace)
+    return namespace
+
+
+class TestArtifactAnnotations:
+    def test_every_dataclass_annotation_resolves(self):
+        namespace = _type_checking_namespace(artifacts)
+        classes = [
+            obj
+            for obj in vars(artifacts).values()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == artifacts.__name__
+        ]
+        assert len(classes) == 8
+        for cls in classes:
+            typing.get_type_hints(cls, globalns=namespace)

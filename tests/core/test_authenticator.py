@@ -76,41 +76,3 @@ class TestEndToEnd:
         attack = study_data.trials(6, PIN, "random", 3)
         attack_rate = np.mean([auth.authenticate(t).accepted for t in attack])
         assert attack_rate <= 0.34
-
-
-class TestProfiledAuthenticate:
-    def test_stage_timings_attached_and_decision_unchanged(
-        self, enrolled_auth, study_data
-    ):
-        probe = study_data.trials(0, "1628", "one_handed", 8)[7]
-        plain = enrolled_auth.authenticate(probe)
-        profiled = enrolled_auth.authenticate(probe, profile=True)
-        assert plain.stage_timings is None
-        assert profiled.stage_timings is not None
-        assert [name for name, _ in profiled.stage_timings] == [
-            "repair", "preprocess", "segment",
-            "featurize", "classify", "decide",
-        ]
-        assert profiled.accepted == plain.accepted
-        assert profiled.reason == plain.reason
-        assert profiled.scores == plain.scores
-
-    def test_wrong_pin_decision_carries_no_timings(
-        self, enrolled_auth, study_data
-    ):
-        probe = study_data.trials(0, "1628", "one_handed", 8)[7]
-        decision = enrolled_auth.authenticate(
-            probe, claimed_pin="0000", profile=True
-        )
-        # Short-circuited before any stage ran.
-        assert decision.stage_timings is None
-        assert decision.reason == "PIN verification failed"
-
-    def test_authenticate_many_profile_shares_batch_timings(
-        self, enrolled_auth, study_data
-    ):
-        probes = study_data.trials(0, "1628", "one_handed", 9)[7:]
-        decisions = enrolled_auth.authenticate_many(probes, profile=True)
-        assert len(decisions) == 2
-        assert decisions[0].stage_timings is not None
-        assert decisions[0].stage_timings == decisions[1].stage_timings

@@ -27,6 +27,7 @@ from repro.core.packing import (
     record_extractor_refs,
     unpack_record,
 )
+from repro.core.stages import AuthPipeline
 from repro.data import ThirdPartyStore
 from repro.errors import ConfigurationError, PersistenceError
 
@@ -107,6 +108,17 @@ class TestDecisionParity:
         assert any(not d.accepted for d in decisions)
 
 
+def staged_run(auth, trial, pin_ok):
+    """One probe through the staged engine (``authenticate`` is fused)."""
+    pipeline = AuthPipeline(
+        auth.models,
+        config=auth.config,
+        policy=auth.policy,
+        no_pin_mode=auth.no_pin_mode,
+    )
+    return pipeline.run([trial], [pin_ok])[0]
+
+
 def _slot_vectors(auth):
     """``(owner, attribute)`` of every per-user vector, slot by slot."""
     models = auth.models
@@ -140,8 +152,8 @@ class TestStoredDtype:
             pairs = (
                 (stored.authenticate(trial, claimed_pin=pin),
                  widened.authenticate(trial, claimed_pin=pin)),
-                (stored.pipeline.run([trial], [pin_ok])[0],
-                 widened.pipeline.run([trial], [pin_ok])[0]),
+                (staged_run(stored, trial, pin_ok),
+                 staged_run(widened, trial, pin_ok)),
             )
             for got, ref in pairs:
                 for field in DECISION_FIELDS:

@@ -166,41 +166,3 @@ class TestEdgeCases:
         second = _run(detector, trial.recording.samples)
         # Full dataclass equality: index, time, energy, and threshold.
         assert first == second
-
-
-class TestFinalizeProfiling:
-    def test_profile_forwards_and_does_not_perturb(
-        self, enrolled_auth, study_data
-    ):
-        from repro.core import StreamingAuthenticator
-
-        trial = study_data.trials(0, "1628", "one_handed", 8)[7]
-        times = [e.reported_time for e in trial.events]
-
-        def run(profile):
-            stream = StreamingAuthenticator(
-                enrolled_auth,
-                fs=trial.recording.fs,
-                channels=trial.recording.channels,
-            )
-            samples = trial.recording.samples
-            for start in range(0, samples.shape[1], 64):
-                stream.push(samples[:, start : start + 64])
-            return stream.finalize(
-                pin=trial.pin, reported_times=times, profile=profile
-            )
-
-        plain = run(profile=False)
-        profiled = run(profile=True)
-        assert plain.stage_timings is None
-        assert profiled.stage_timings is not None
-        assert [name for name, _ in profiled.stage_timings] == [
-            "repair", "preprocess", "segment",
-            "featurize", "classify", "decide",
-        ]
-        assert all(t >= 0.0 for _, t in profiled.stage_timings)
-        # Profiling is observability only: every decision field matches.
-        assert profiled.accepted == plain.accepted
-        assert profiled.reason == plain.reason
-        assert profiled.scores == plain.scores
-        assert profiled.pin_ok == plain.pin_ok

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.session import RetryPolicy
 from repro.service import AuthService, encode_trial, make_app, pin_proof
-from repro.service.http import serve
+from repro.service.http import MAX_HEADERS, serve
 from repro.service.protocol import make_nonce
 
 from .conftest import PIN, exchange, live_server
@@ -153,6 +153,24 @@ class TestErrorMapping:
         assert status == 200
         status, body, _ = post_json(app, "/v1/auth", req)
         assert status == 403 and body["error"]["code"] == "proof_rejected"
+
+    def test_keystroke_time_outside_recording_is_400(self, app, probes):
+        # With a valid proof, the engine would clamp the time onto the
+        # recording's last sample and score the probe.
+        nonce = make_nonce()
+        trial = encode_trial(probes["legit"][0])
+        trial["events"][0]["reported_time"] = 1e9
+        status, body, _ = post_json(
+            app,
+            "/v1/auth",
+            {
+                "user_id": "u0",
+                "nonce": nonce,
+                "proof": pin_proof(PIN, "u0", nonce),
+                "trial": trial,
+            },
+        )
+        assert status == 400 and body["error"]["code"] == "protocol_error"
 
     def test_backoff_is_429_with_retry_after(self, service_registry, probes):
         svc = AuthService(
@@ -398,3 +416,20 @@ class TestSocketServer:
         status, payload = asyncio.run(run())
         assert status == 400
         assert payload["error"]["code"] == "protocol_error"
+
+    @pytest.mark.parametrize(
+        "count, status, code",
+        [(MAX_HEADERS, 200, None), (MAX_HEADERS + 1, 400, "protocol_error")],
+        ids=["at-limit", "over-limit"],
+    )
+    def test_header_count_is_bounded(self, service, count, status, code):
+        headers = b"".join(b"x-h%d: v\r\n" % i for i in range(count))
+        request = b"GET /v1/health HTTP/1.1\r\n" + headers + b"\r\n"
+
+        async def run():
+            async with live_server(service) as address:
+                return await exchange(address, request)
+
+        got_status, payload = asyncio.run(run())
+        assert got_status == status
+        assert payload.get("error", {}).get("code") == code

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 
 import numpy as np
@@ -14,12 +16,10 @@ from repro.service.protocol import (
     EnrollBeginRequest,
     EnrollCompleteRequest,
     decode_trial,
-    derive_proof_key,
     encode_trial,
     make_nonce,
     make_pin,
     pin_proof,
-    proof_from_key,
     verify_proof,
 )
 
@@ -42,12 +42,15 @@ class TestProofCrypto:
         proof = pin_proof("1628", "u0", nonce)
         assert verify_proof("1628", "u0", nonce, proof)
 
-    def test_verify_accepts_derived_key_proof(self):
+    def test_verify_refuses_derived_key_proof(self):
+        # The same MAC keyed by a PIN-derived key instead of the PIN is
+        # a second proof form; only pin_proof verifies.
         nonce = make_nonce()
-        key = derive_proof_key("1628", "u0")
-        proof = proof_from_key(key, "u0", nonce)
-        assert proof != pin_proof("1628", "u0", nonce)
-        assert verify_proof("1628", "u0", nonce, proof)
+        key = hmac.new(b"1628", b"p2auth/proof-key/u0", hashlib.sha256).hexdigest()
+        proof = hmac.new(
+            key.encode(), b"u0|" + nonce.encode(), hashlib.sha256
+        ).hexdigest()
+        assert not verify_proof("1628", "u0", nonce, proof)
 
     def test_verify_rejects_wrong_pin(self):
         nonce = make_nonce()
@@ -63,7 +66,6 @@ class TestProofCrypto:
     def test_raw_pin_never_appears_in_proof(self):
         nonce = make_nonce()
         assert "1628" not in pin_proof("1628", "u0", nonce)
-        assert "1628" not in derive_proof_key("1628", "u0")
 
     def test_make_pin_digits_and_length(self):
         pin = make_pin(6)
@@ -145,6 +147,33 @@ class TestTrialRoundTrip:
         holder[where] = value
         with pytest.raises(ProtocolError, match="finite number"):
             decode_trial(wire, one_trial.pin)
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            lambda start, end: -1e9,
+            lambda start, end: 1e9,
+            lambda start, end: start - 0.5,
+            lambda start, end: end + 0.5,
+        ],
+        ids=["-1e9", "1e9", "before-start", "after-end"],
+    )
+    def test_keystroke_time_outside_recording_rejected(self, one_trial, moved):
+        # Calibration would clamp it onto the first or last sample.
+        rec = one_trial.recording
+        start, end = rec.start_time, rec.start_time + rec.n_samples / rec.fs
+        wire = encode_trial(one_trial)
+        wire["events"][1]["reported_time"] = moved(start, end)
+        with pytest.raises(ProtocolError, match="outside the recording"):
+            decode_trial(wire, one_trial.pin)
+
+    def test_keystroke_time_on_either_edge_accepted(self, one_trial):
+        rec = one_trial.recording
+        edges = (rec.start_time, rec.start_time + rec.n_samples / rec.fs)
+        for i, edge in enumerate(edges):
+            wire = encode_trial(one_trial)
+            wire["events"][i]["reported_time"] = edge
+            assert decode_trial(wire, one_trial.pin).events[i].reported_time == edge
 
     def test_unknown_hand_rejected(self, one_trial):
         wire = encode_trial(one_trial)

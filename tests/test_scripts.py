@@ -1,11 +1,16 @@
 """Tests for the repository scripts."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO_ROOT / "scripts"
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +74,68 @@ class TestRunRobustnessScript:
         assert run_robustness.main(["--smoke", "--seed", "7", "--out", str(a)]) == 0
         assert run_robustness.main(["--smoke", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+#: Installs perfbench's traced launcher and prints the layer names it
+#: wrapped, in the order it wrapped them.
+_INSTALL_TRACING = """
+import json
+from benchlib.traced_serve import Recorder, install
+
+class NamingRecorder(Recorder):
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def wrap(self, fn, name, **kwargs):
+        self.names.append(name)
+        return super().wrap(fn, name, **kwargs)
+
+recorder = NamingRecorder()
+install(recorder)
+print(json.dumps(recorder.names))
+"""
+
+
+class TestTracedLauncher:
+    def test_every_layer_entry_point_still_exists(self):
+        # perfbench/benchlib/traced_serve.py wraps these by module path
+        # and name, among them each repro.core.stages *Stage.run: the
+        # staged engine stays in the package for these spans.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _INSTALL_TRACING],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            "service.protocol.parse",
+            "service.protocol.enroll_parse",
+            "service.protocol.to_wire",
+            "service.protocol.decode_trial",
+            "service.protocol.verify_proof",
+            "service.core.authenticate",
+            "service.core.enroll_complete",
+            "core.session.new",
+            "core.session.submit_entry",
+            "core.registry.get",
+            "core.registry.add",
+            "core.backends.load",
+            "core.backends.store",
+            "core.authenticator.warmup",
+            "core.authenticator.authenticate",
+            "core.authenticator.enroll",
+            "core.stages.repair",
+            "core.stages.preprocess",
+            "core.stages.segment",
+            "core.stages.featurize",
+            "core.stages.classify",
+            "core.stages.decide",
+        ]

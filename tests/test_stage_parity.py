@@ -1,4 +1,4 @@
-"""Parity contract of the staged authentication engine.
+"""Parity contract of the fused engine against the staged reference.
 
 The layered refactor (``repro.core.stages`` / ``registry`` / the split
 enrollment package) is only allowed to *reorganize* the code — not to
@@ -6,12 +6,10 @@ change a single bit of its behavior. This suite pins that contract:
 
 - an inline copy of the pre-refactor monolithic authentication body is
   compared field-for-field (``rtol=0``/``atol=0``) against the staged
-  path on legitimate, attacker, privacy-boost, two-handed, and
-  wrong-PIN probes;
+  reference engine (``repro.core.stages.AuthPipeline``) on legitimate,
+  attacker, privacy-boost, two-handed, and wrong-PIN probes;
 - ``P2Auth.authenticate``, which runs the fused engine, must equal the
-  staged ``auth.pipeline.run`` on the same probes;
-- ``P2Auth.authenticate_many`` must equal a Python loop over
-  ``authenticate``;
+  staged engine on the same probes, and raise the same errors;
 - a registry-enrolled user must score identically to a directly
   constructed ``P2Auth``;
 - a table-driven experiment sweep row must equal the hand-rolled
@@ -40,6 +38,8 @@ from repro.core.enrollment import (
     extract_fused_waveform,
     extract_segments,
 )
+from repro.core.hotpath import HotAuthPipeline
+from repro.core.stages import AuthPipeline
 from repro.data import StudyData, ThirdPartyStore
 from repro.errors import AuthenticationError
 from repro.types import InputCase
@@ -150,7 +150,13 @@ def _reference_authenticate(models, preprocessed, pin_ok, no_pin_mode=False):
 
 def staged_run(auth, trial, pin_ok=True) -> AuthDecision:
     """One probe through the staged engine: the fused path's reference."""
-    return auth.pipeline.run([trial], [pin_ok])[0]
+    pipeline = AuthPipeline(
+        auth.models,
+        config=auth.config,
+        policy=auth.policy,
+        no_pin_mode=auth.no_pin_mode,
+    )
+    return pipeline.run([trial], [pin_ok])[0]
 
 
 def assert_decisions_identical(staged: AuthDecision, reference: AuthDecision):
@@ -260,41 +266,14 @@ class TestStagedVsReference:
         )
         with pytest.raises(AuthenticationError, match="no fused model"):
             _reference_authenticate(boosted, pre, True)
-        from repro.core import AuthPipeline, Preprocessed
-
         with pytest.raises(AuthenticationError, match="no fused model"):
-            AuthPipeline(boosted).run_preprocessed(
-                [Preprocessed(trial=pre, pin_ok=True)]
-            )
+            AuthPipeline(boosted).run([trial], [True])
+        with pytest.raises(AuthenticationError, match="no fused model"):
+            HotAuthPipeline(boosted).authenticate(trial, True)
 
 
 # ---------------------------------------------------------------------------
-# 2. Batch path == loop
-# ---------------------------------------------------------------------------
-
-
-class TestBatchParity:
-    def test_authenticate_many_equals_loop(self, auth, probes):
-        trials = probes["legit"] + probes["attack"] + probes["two_handed"]
-        batched = auth.authenticate_many(trials)
-        looped = [auth.authenticate(t) for t in trials]
-        assert len(batched) == len(looped)
-        for b, l in zip(batched, looped):
-            assert_decisions_identical(b, l)
-
-    def test_authenticate_many_mixed_pins(self, auth, probes):
-        trials = [probes["legit"][0], probes["legit"][1]]
-        pins = [PIN, "0000"]
-        batched = auth.authenticate_many(trials, claimed_pins=pins)
-        looped = [
-            auth.authenticate(t, claimed_pin=p) for t, p in zip(trials, pins)
-        ]
-        for b, l in zip(batched, looped):
-            assert_decisions_identical(b, l)
-
-
-# ---------------------------------------------------------------------------
-# 3. Registry façade vs direct construction
+# 2. Registry façade vs direct construction
 # ---------------------------------------------------------------------------
 
 
@@ -313,7 +292,7 @@ class TestRegistryParity:
 
 
 # ---------------------------------------------------------------------------
-# 4. Table-driven experiment runner vs hand-rolled sweep row
+# 3. Table-driven experiment runner vs hand-rolled sweep row
 # ---------------------------------------------------------------------------
 
 
@@ -382,7 +361,7 @@ class TestExperimentRowParity:
 
 
 # ---------------------------------------------------------------------------
-# 5. Robustness grid rows vs the committed ROBUSTNESS.json
+# 4. Robustness grid rows vs the committed ROBUSTNESS.json
 # ---------------------------------------------------------------------------
 
 
@@ -420,7 +399,7 @@ class TestRobustnessParity:
 
 
 # ---------------------------------------------------------------------------
-# 6. Fused hot path vs the staged engine
+# 5. Fused hot path vs the staged engine
 # ---------------------------------------------------------------------------
 
 
@@ -538,66 +517,3 @@ class TestWarmup:
 
     def test_warmup_before_enrollment_is_safe(self):
         assert P2Auth(pin=PIN).warmup() is False
-
-
-# ---------------------------------------------------------------------------
-# 7. Cross-user registry batch == per-user loop
-# ---------------------------------------------------------------------------
-
-
-class TestCrossUserBatchParity:
-    @pytest.fixture(scope="class")
-    def registry(self, data):
-        from repro.data import ThirdPartyStore
-
-        registry = ModelRegistry(
-            options=EnrollmentOptions(num_features=FEATURES)
-        )
-        for user in (0, 1, 2):
-            store = ThirdPartyStore(
-                data, [u for u in range(5) if u != user], PIN
-            )
-            registry.enroll(
-                f"user{user}",
-                PIN,
-                data.trials(user, PIN, "one_handed", 6),
-                store.sample(12),
-            )
-        return registry
-
-    def test_batch_equals_loop_across_users(self, registry, data):
-        ids, trials, pins = [], [], []
-        for user in (0, 1, 2):  # each user's own probe
-            ids.append(f"user{user}")
-            trials.append(data.trials(user, PIN, "one_handed", 7)[6])
-            pins.append(None)
-        # a cross-user attack, a wrong PIN, and a two-handed probe
-        ids.append("user0")
-        trials.append(data.emulating_trials(4, 0, PIN, 1)[0])
-        pins.append(None)
-        ids.append("user1")
-        trials.append(data.trials(1, PIN, "one_handed", 8)[7])
-        pins.append("0000")
-        ids.append("user2")
-        trials.append(data.trials(2, PIN, "double3", 1)[0])
-        pins.append(None)
-
-        batched = registry.authenticate_many(ids, trials, pins)
-        looped = [
-            registry.authenticate(u, t, claimed_pin=p)
-            for u, t, p in zip(ids, trials, pins)
-        ]
-        assert len(batched) == len(looped)
-        for b, l in zip(batched, looped):
-            assert_decisions_identical(b, l)
-
-    def test_length_mismatches_rejected(self, registry, data):
-        from repro.errors import ConfigurationError, EnrollmentError
-
-        probe = data.trials(0, PIN, "one_handed", 1)[0]
-        with pytest.raises(ConfigurationError, match="user ids"):
-            registry.authenticate_many(["user0", "user1"], [probe])
-        with pytest.raises(EnrollmentError, match="PINs"):
-            registry.authenticate_many(
-                ["user0"], [probe], claimed_pins=[PIN, PIN]
-            )
