@@ -2,7 +2,7 @@
 """Persisting an enrolled authenticator across sessions.
 
 A deployed P2Auth enrolls once and then lives on the device. This
-example enrolls a user, saves the models to an ``.npz`` archive,
+example enrolls a user, saves the models to one packed template file,
 "reboots" (drops everything), restores, and shows the restored
 authenticator makes bit-identical decisions — including rejecting a
 wrong PIN purely from the stored salted digest, without ever having
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"  decisions: {[d.accepted for d in original]}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "user0.npz"
+        path = Path(tmp) / "user0.p2a"
         save_authenticator(auth, path)
         size_kib = path.stat().st_size / 1024
         print(f"  saved to {path.name} ({size_kib:.0f} KiB)\n")
@@ -53,7 +53,7 @@ def main() -> None:
         print(f"  decisions: {[d.accepted for d in replayed]}")
 
         identical = all(
-            a.accepted == b.accepted and np.allclose(a.scores, b.scores)
+            a.accepted == b.accepted and a.scores == b.scores
             for a, b in zip(original, replayed)
         )
         print(f"  bit-identical to session 1: {identical}")

@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
 """Benchmark registry storage at population scale; write BENCH_registry.json.
 
-Five sections, proving ROADMAP item 2's "millions of users" claim on
+Five sections, proving the registry's "millions of users" claim on
 measured numbers rather than arithmetic:
 
 - ``templates`` — wall time to enroll the distinct simulated users that
   seed the population (the real pipeline, process-pool fan-out) and the
   per-user payload each storage dtype produces.
-- ``size`` — bytes per user at the paper's feature budget: one loose
-  ``.npz`` archive (the baseline, extractors re-stored per user) versus
-  the packed record (extractors shared per arena), and the resulting
-  models-per-GB for float64/float32/float16.
+- ``size`` — bytes per user at the paper's feature budget: the packed
+  record per dtype (extractors stored once per backend) and the
+  resulting models-per-GB, plus the one-file ``save_authenticator``
+  form (float64 record + its extractors).
 - ``parity`` — the quantization contract on the standard probe battery
   (legit / two-handed / attack / wrong-PIN): float64 bit-exact,
   float32/float16 decision-identical with the measured max score drift.
-- ``cold_load`` — per-backend cold-load latency: p50/p99 of a backend
-  ``load()`` (npz directory, sharded packed, packed arena), the
-  first-load cost that includes shared-extractor decode, and the
-  arena's open-time index scan at population scale.
-- ``thrash`` — a 10k+-user arena behind ``ModelRegistry`` under the
-  thread-thrash pattern with Zipf-distributed traffic: gets/sec, LRU
-  hit rate, and eviction counts from ``ModelRegistry.stats``.
+- ``cold_load`` — ``ShardedPackedBackend`` cold-load latency: open
+  time, the first load (which pays the shared-extractor decode), and
+  p50/p99 of ``load()`` over sampled users of the population.
+- ``thrash`` — a 10k+-user ``ShardedPackedBackend`` behind
+  ``ModelRegistry`` under the thread-thrash pattern with
+  Zipf-distributed traffic: gets/sec, LRU hit rate, and eviction
+  counts from ``ModelRegistry.stats``.
 
 Usage::
 
@@ -50,9 +50,7 @@ from repro.config import PAPER_PINS  # noqa: E402
 from repro.core import (  # noqa: E402
     EnrollmentOptions,
     ModelRegistry,
-    NpzDirectoryBackend,
     P2Auth,
-    PackedArenaBackend,
     ShardedPackedBackend,
     pack_authenticator,
     save_authenticator,
@@ -122,36 +120,27 @@ def bench_templates(n_templates: int, features: int, n_jobs):
         "num_features": features,
         "enroll_wall_s": elapsed,
         "record_bytes": per_dtype,
-        "extractor_bytes_once_per_arena": extractor_bytes,
+        "extractor_bytes_once_per_backend": extractor_bytes,
         "n_extractors": len(templates[0].extractors),
     }
 
 
 def bench_size(features: int):
-    """Per-user bytes and models/GB: npz baseline vs packed records."""
+    """Per-user bytes and models/GB of the packed record per dtype."""
     auth, _ = build_world(features)
     with tempfile.TemporaryDirectory() as root:
-        npz_path = Path(root) / "user.npz"
-        save_authenticator(auth, npz_path)
-        npz_bytes = npz_path.stat().st_size
-    packed = {
-        dtype: pack_authenticator(auth, dtype=dtype)
-        for dtype in QUANT_DTYPES
-    }
-    out = {
-        "num_features": features,
-        "npz_bytes_per_user": npz_bytes,
-        "npz_models_per_gb": int(1e9 / npz_bytes),
-        "packed": {},
-    }
-    for dtype, pack in packed.items():
+        file_path = Path(root) / "user.p2a"
+        save_authenticator(auth, file_path)
+        file_bytes = file_path.stat().st_size
+    out = {"num_features": features, "file_bytes": file_bytes, "packed": {}}
+    for dtype in QUANT_DTYPES:
+        pack = pack_authenticator(auth, dtype=dtype)
         out["packed"][dtype] = {
             "record_bytes_per_user": pack.record_nbytes,
-            "extractor_bytes_once_per_arena": sum(
+            "extractor_bytes_once_per_backend": sum(
                 len(blob) for blob in pack.extractors.values()
             ),
             "models_per_gb": int(1e9 / pack.record_nbytes),
-            "vs_npz": npz_bytes / pack.record_nbytes,
         }
     return out
 
@@ -203,70 +192,41 @@ def bench_parity(features: int):
 
 
 def bench_cold_load(templates, n_users: int, n_loads: int, seed: int = 7):
-    """Cold-load latency per backend over ``n_loads`` sampled users."""
+    """Cold-load latency of ``ShardedPackedBackend`` over sampled users."""
     rng = np.random.default_rng(seed)
-    auth = unpack_authenticator(templates[0])
-    out = {"n_users": n_users, "n_loads": n_loads, "backends": {}}
     with tempfile.TemporaryDirectory() as root:
-        backends = {
-            "npz": NpzDirectoryBackend(Path(root) / "npz"),
-            "sharded": ShardedPackedBackend(Path(root) / "sharded"),
-            "arena": PackedArenaBackend(Path(root) / "arena"),
-        }
-        ids = {}
-        for name, backend in backends.items():
-            if name == "npz":
-                # The npz baseline has no packed fast path; population
-                # size is capped so store time stays sane.
-                ids[name] = [f"u{i:07d}" for i in range(min(n_users, 64))]
-                for user_id in ids[name]:
-                    backend.store(user_id, auth)
-            else:
-                ids[name] = materialize_population(
-                    backend, n_users, templates
-                )
-        if hasattr(backends["arena"], "close"):
-            backends["arena"].close()
+        ids = materialize_population(
+            ShardedPackedBackend(root), n_users, templates
+        )
+        # Fresh instance: empty extractor pool.
+        start = time.perf_counter()
+        backend = ShardedPackedBackend(root)
+        open_ms = (time.perf_counter() - start) * 1e3
 
-        for name in backends:
-            # Fresh instance: empty extractor pool, cold index.
-            root_dir = Path(root) / name
-            opener = {
-                "npz": NpzDirectoryBackend,
-                "sharded": ShardedPackedBackend,
-                "arena": PackedArenaBackend,
-            }[name]
+        start = time.perf_counter()
+        backend.load(ids[0])
+        first_ms = (time.perf_counter() - start) * 1e3
+
+        times = []
+        for pick in rng.choice(len(ids), size=n_loads):
             start = time.perf_counter()
-            backend = opener(root_dir)
-            open_ms = (time.perf_counter() - start) * 1e3
-
-            first_user = ids[name][0]
-            start = time.perf_counter()
-            backend.load(first_user)
-            first_ms = (time.perf_counter() - start) * 1e3
-
-            picks = rng.choice(len(ids[name]), size=n_loads)
-            times = []
-            for pick in picks:
-                user_id = ids[name][int(pick)]
-                start = time.perf_counter()
-                backend.load(user_id)
-                times.append(time.perf_counter() - start)
-            out["backends"][name] = {
-                "population": len(ids[name]),
-                "open_ms": open_ms,
-                "first_load_ms": first_ms,
-                **_percentiles(times),
-            }
-    return out
+            backend.load(ids[int(pick)])
+            times.append(time.perf_counter() - start)
+    return {
+        "n_users": n_users,
+        "n_loads": n_loads,
+        "open_ms": open_ms,
+        "first_load_ms": first_ms,
+        **_percentiles(times),
+    }
 
 
 def bench_thrash(
     templates, n_users: int, capacity: int, threads: int, ops_per_thread: int
 ):
-    """Zipf traffic against a capacity-bounded registry over the arena."""
+    """Zipf traffic against a capacity-bounded registry over the backend."""
     with tempfile.TemporaryDirectory() as root:
-        backend = PackedArenaBackend(root)
+        backend = ShardedPackedBackend(root)
         ids = materialize_population(backend, n_users, templates)
         registry = ModelRegistry(capacity=capacity, backend=backend)
         barrier = threading.Barrier(threads + 1)
@@ -311,8 +271,8 @@ def bench_thrash(
             "gets_per_sec": total / wall,
             "hit_rate": stats["hits"] / max(1, stats["hits"] + stats["misses"]),
             **stats,
-            "arena_bytes": backend.size_bytes(),
-            "arena_bytes_per_user": backend.size_bytes() / n_users,
+            "store_bytes": backend.size_bytes(),
+            "store_bytes_per_user": backend.size_bytes() / n_users,
         }
 
 
@@ -395,10 +355,8 @@ def main(argv=None) -> int:
     size = report["size"]
     f32 = size["packed"]["float32"]
     print(
-        f"[size] npz {size['npz_bytes_per_user']} B/user "
-        f"({size['npz_models_per_gb']}/GB) | packed f32 "
-        f"{f32['record_bytes_per_user']} B/user ({f32['models_per_gb']}/GB, "
-        f"{f32['vs_npz']:.2f}x)",
+        f"[size] packed f32 {f32['record_bytes_per_user']} B/user "
+        f"({f32['models_per_gb']}/GB) | saved file {size['file_bytes']} B",
         file=sys.stderr,
     )
     parity = report["parity"]["dtypes"]
@@ -411,13 +369,13 @@ def main(argv=None) -> int:
         f"(max |d|={parity['float16']['max_abs_score_delta']:.2e})",
         file=sys.stderr,
     )
-    for name, cold in report["cold_load"]["backends"].items():
-        print(
-            f"[cold:{name}] open {cold['open_ms']:.1f} ms | first "
-            f"{cold['first_load_ms']:.1f} ms | p50 {cold['p50_ms']:.1f} ms "
-            f"| p99 {cold['p99_ms']:.1f} ms over {cold['population']} users",
-            file=sys.stderr,
-        )
+    cold = report["cold_load"]
+    print(
+        f"[cold] open {cold['open_ms']:.1f} ms | first "
+        f"{cold['first_load_ms']:.1f} ms | p50 {cold['p50_ms']:.2f} ms "
+        f"| p99 {cold['p99_ms']:.2f} ms over {cold['n_users']} users",
+        file=sys.stderr,
+    )
     thrash = report["thrash"]
     print(
         f"[thrash] {thrash['gets_per_sec']:.0f} gets/s over "

@@ -20,24 +20,17 @@ from .authenticator import P2Auth
 # (20k -> 58k) and added ~0.5 s to every process start on a 2-vCPU
 # x86_64 guest.
 from .artifacts import AuthDecision
-from .backends import PackedArenaBackend, ShardedPackedBackend
+from .backends import ShardedPackedBackend
 from .degradation import DegradationEvent, DegradationPolicy, apply_policy
 from .packing import (
     PackedAuthenticator,
-    pack_authenticator,
-    unpack_authenticator,
-)
-from .persistence import (
     load_authenticator,
     load_session,
+    pack_authenticator,
     save_authenticator,
+    unpack_authenticator,
 )
-from .registry import (
-    ModelRegistry,
-    NpzDirectoryBackend,
-    RegistryBackend,
-    backend_exists,
-)
+from .registry import ModelRegistry, RegistryBackend
 from .session import (
     LockoutStatus,
     RetryPolicy,
@@ -79,9 +72,7 @@ __all__ = [
     "EnrollmentOptions",
     "ModelRegistry",
     "NegativeBank",
-    "NpzDirectoryBackend",
     "P2Auth",
-    "PackedArenaBackend",
     "PackedAuthenticator",
     "ShardedPackedBackend",
     "RegistryBackend",
@@ -99,7 +90,6 @@ __all__ = [
     "WaveformModel",
     "WearStatus",
     "apply_policy",
-    "backend_exists",
     "build_negative_bank",
     "check_enrollment_quality",
     "detect_wear",

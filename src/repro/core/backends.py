@@ -1,51 +1,33 @@
-"""Population-scale registry backends over the packed template format.
+"""The registry backend: packed templates under a sharded directory.
 
-:class:`~repro.core.registry.NpzDirectoryBackend` is fine for a lab
-device; at registry scale (ROADMAP item 2: 10k–1M users) it loses on
-every axis — one compressed archive per user, the shared extractor
-duplicated at float64 into each, and a cold load that re-inflates the
-whole archive. The two backends here store
-:mod:`repro.core.packing` blobs instead:
-
-- :class:`ShardedPackedBackend` — one small ``.p2u`` record per user
-  under an N-way hashed shard directory (bounded directory fan-out),
-  extractor blobs content-addressed and written once in a shared
-  ``extractors/`` store.
-- :class:`PackedArenaBackend` — every record in a single append-only
-  arena file. Cold loads are an ``mmap`` slice + zero-copy
-  ``np.frombuffer`` views; deletes append tombstones; ``compact()``
-  rewrites live frames and drops unreferenced extractors.
-
-Both satisfy the :class:`~repro.core.registry.RegistryBackend`
-protocol (store / load / delete / user_ids / exists) and tolerate
-concurrent calls, including for the same user id: the sharded backend
-leans on atomic ``os.replace``; the arena serializes its index and
-append tail under one lock while keeping packing/unpacking (the
-expensive part) outside it.
+:class:`ShardedPackedBackend` stores :mod:`repro.core.packing` blobs:
+one small ``.p2u`` record per user under an N-way hashed shard
+directory (bounded directory fan-out), and extractor blobs
+content-addressed and written once in a shared ``extractors/`` store.
+It satisfies the :class:`~repro.core.registry.RegistryBackend` protocol
+(store / load / delete / user_ids / exists) and tolerates concurrent
+calls, including for the same user id: every write is an atomic
+``os.replace``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
-import struct
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Union
 
-from ..concurrency import assert_owned, checked_rlock
+from ..concurrency import checked_rlock
 from ..errors import ConfigurationError, PersistenceError
 from ..features import MiniRocket
 from .authenticator import P2Auth
 from .packing import (
     QUANT_DTYPES,
-    Buffer,
     PackedAuthenticator,
     decode_extractor,
     pack_authenticator,
-    record_extractor_refs,
     unpack_record,
 )
 from .registry import _USER_ID_RE, _check_user_id
@@ -258,317 +240,4 @@ class ShardedPackedBackend:  # concurrency: thread-safe
         )
 
 
-# --- arena framing ---------------------------------------------------------
-
-_ARENA_MAGIC = b"P2AR"
-_FRAME = struct.Struct("<4sBBHQ")  # magic, kind, pad, id_len, payload_len
-_KIND_USER = 1
-_KIND_EXTRACTOR = 2
-_KIND_TOMBSTONE = 3
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-def _frame(kind: int, ident: str, payload: bytes) -> bytes:
-    ident_bytes = ident.encode("utf-8")
-    frame = bytearray(
-        _FRAME.size + _align8(len(ident_bytes)) + _align8(len(payload))
-    )
-    _FRAME.pack_into(
-        frame, 0, _ARENA_MAGIC, kind, 0, len(ident_bytes), len(payload)
-    )
-    frame[_FRAME.size:_FRAME.size + len(ident_bytes)] = ident_bytes
-    payload_at = _FRAME.size + _align8(len(ident_bytes))
-    frame[payload_at:payload_at + len(payload)] = payload
-    return bytes(frame)
-
-
-class PackedArenaBackend:  # concurrency: thread-safe
-    """Every packed record in one append-only memory-mapped arena file.
-
-    Layout: ``root/arena.json`` (dtype manifest) plus ``root/arena.bin``,
-    a sequence of 8-aligned frames::
-
-        magic "P2AR" | kind u8 | pad u8 | id_len u16 | payload_len u64 |
-        id bytes (padded to 8) | payload (padded to 8)
-
-    ``kind`` is a user record, a content-addressed extractor blob, or a
-    tombstone. Stores append frames; a cold :meth:`load` is an in-memory
-    index hit plus :func:`~repro.core.packing.unpack_record` over an
-    ``mmap`` slice — no archive parsing, no per-user file open. The
-    opening scan tolerates a truncated tail (a crash mid-append) by
-    truncating back to the last complete frame.
-
-    ``store`` / ``load`` / ``delete`` / ``user_ids`` / ``exists`` are
-    thread-safe: the index and append tail are serialized under one
-    lock, while packing and unpacking (the expensive part) run outside
-    it. :meth:`compact` is an exclusive maintenance operation — do not
-    run it concurrently with loads whose authenticators are still being
-    rebuilt.
-    """
-
-    def __init__(self, root: Union[str, Path], dtype: str = "float32") -> None:
-        if dtype not in QUANT_DTYPES:
-            raise ConfigurationError(
-                f"unknown packing dtype {dtype!r}; expected one of "
-                f"{sorted(QUANT_DTYPES)}"
-            )
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._path = self._root / "arena.bin"
-        manifest = self._root / "arena.json"
-        if manifest.exists():
-            stored = json.loads(manifest.read_text())
-            if stored.get("format") != "p2auth-arena":
-                raise ConfigurationError(
-                    f"{manifest} is not a packed-arena manifest"
-                )
-            self._dtype = str(stored["dtype"])
-        else:
-            self._dtype = dtype
-            manifest.write_text(
-                json.dumps(
-                    {"format": "p2auth-arena", "version": 1, "dtype": dtype},
-                    sort_keys=True,
-                )
-            )
-        self._lock = checked_rlock("PackedArenaBackend._lock")
-        # (payload offset, payload length) per live user / extractor.
-        self._index: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
-        self._ext_index: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
-        self._size = 0  # guarded-by: _lock
-        self._mmap: Optional[mmap.mmap] = None  # guarded-by: _lock
-        self._mapped = 0  # guarded-by: _lock
-        self._append = open(self._path, "ab")  # guarded-by: _lock
-        self._extractors = _ExtractorPool()
-        with self._lock:
-            self._scan()
-
-    @property
-    def dtype(self) -> str:
-        return self._dtype
-
-    def _scan(self) -> None:  # guarded-by: caller
-        """Rebuild the indexes from the arena file (open-time only).
-
-        Reads frame headers and ids only, seeking past payloads, so
-        opening a multi-GB arena touches kilobytes per record instead
-        of paging the whole file through memory. A partial trailing
-        frame — the footprint of a crash mid-append — is cut off so the
-        arena reopens at the last complete frame.
-        """
-        assert_owned(self._lock, "PackedArenaBackend._scan")
-        file_len = self._path.stat().st_size
-        pos = 0
-        with open(self._path, "rb") as handle:
-            while pos + _FRAME.size <= file_len:
-                head = handle.read(_FRAME.size)
-                if len(head) < _FRAME.size:
-                    break
-                magic, kind, _pad, id_len, payload_len = _FRAME.unpack(head)
-                if magic != _ARENA_MAGIC:
-                    break
-                payload_at = pos + _FRAME.size + _align8(id_len)
-                end = payload_at + _align8(payload_len)
-                if end > file_len:
-                    break
-                ident = handle.read(id_len).decode("utf-8")
-                if kind == _KIND_USER:
-                    self._index[ident] = (payload_at, payload_len)
-                elif kind == _KIND_EXTRACTOR:
-                    self._ext_index[ident] = (payload_at, payload_len)
-                elif kind == _KIND_TOMBSTONE:
-                    self._index.pop(ident, None)
-                handle.seek(end)
-                pos = end
-        if pos != file_len:
-            # Truncated or foreign tail: drop it so appends restart at
-            # a frame boundary.
-            self._append.truncate(pos)
-        self._size = pos
-
-    def _buffer(self) -> Buffer:  # guarded-by: caller
-        """The arena contents up to ``_size`` as a zero-copy buffer.
-
-        Remaps lazily when the file has grown past the current window.
-        The returned ``mmap`` stays valid for readers even after later
-        remaps or compactions: old maps are dropped, not closed, so
-        in-flight ``np.frombuffer`` views keep their pages.
-        """
-        assert_owned(self._lock, "PackedArenaBackend._buffer")
-        if self._size == 0:
-            return b""
-        if self._mmap is None or self._mapped < self._size:
-            self._append.flush()
-            with open(self._path, "rb") as handle:
-                self._mmap = mmap.mmap(
-                    handle.fileno(), self._size, access=mmap.ACCESS_READ
-                )
-            self._mapped = self._size
-        assert self._mmap is not None
-        return self._mmap
-
-    def store(self, user_id: str, auth: P2Auth) -> None:
-        """Pack and append one enrolled authenticator."""
-        self.store_packed(user_id, pack_authenticator(auth, self._dtype))
-
-    def store_packed(self, user_id: str, packed: PackedAuthenticator) -> None:
-        """Append an already-packed template (bulk-enrollment path)."""
-        _check_user_id(user_id)
-        with self._lock:
-            frames: List[Tuple[int, str, bytes]] = [
-                (_KIND_EXTRACTOR, fingerprint, blob)
-                for fingerprint, blob in packed.extractors.items()
-                if fingerprint not in self._ext_index
-            ]
-            frames.append((_KIND_USER, user_id, packed.record))
-            self._append_frames(frames)
-
-    def _append_frames(self, frames: List[Tuple[int, str, bytes]]) -> None:  # guarded-by: caller
-        assert_owned(self._lock, "PackedArenaBackend._append_frames")
-        encoded = bytearray()
-        pos = self._size
-        for kind, ident, payload in frames:
-            frame = _frame(kind, ident, payload)
-            payload_at = (
-                pos + len(encoded) + _FRAME.size
-                + _align8(len(ident.encode("utf-8")))
-            )
-            if kind == _KIND_USER:
-                self._index[ident] = (payload_at, len(payload))
-            elif kind == _KIND_EXTRACTOR:
-                self._ext_index[ident] = (payload_at, len(payload))
-            elif kind == _KIND_TOMBSTONE:
-                self._index.pop(ident, None)
-            encoded += frame
-        self._append.write(encoded)
-        self._append.flush()
-        self._size = pos + len(encoded)
-
-    def _resolve_extractor_from(
-        self, buf: Buffer, ext_index: Dict[str, Tuple[int, int]]
-    ) -> Callable[[str], MiniRocket]:
-        def resolve(fingerprint: str) -> MiniRocket:
-            def build() -> MiniRocket:
-                entry = ext_index.get(fingerprint)
-                if entry is None:
-                    raise PersistenceError(
-                        f"extractor blob {fingerprint} is missing from "
-                        f"{self._path}"
-                    )
-                return decode_extractor(buf, base=entry[0])
-
-            return self._extractors.resolve(fingerprint, build)
-
-        return resolve
-
-    def load(self, user_id: str) -> P2Auth:
-        """Rebuild a stored authenticator from its mmap slice.
-
-        The index hit, the mmap window, and an extractor-offset
-        snapshot are taken under the lock; the model rebuild — the
-        expensive part — runs outside it.
-        """
-        with self._lock:
-            entry = self._index.get(user_id)
-            if entry is None:
-                raise KeyError(user_id)
-            buf = self._buffer()
-            ext_index = dict(self._ext_index)
-        return unpack_record(
-            buf, self._resolve_extractor_from(buf, ext_index), base=entry[0]
-        )
-
-    def delete(self, user_id: str) -> None:
-        """Append a tombstone for ``user_id`` (no-op when absent)."""
-        with self._lock:
-            if user_id in self._index:
-                self._append_frames([(_KIND_TOMBSTONE, user_id, b"")])
-
-    def exists(self, user_id: str) -> bool:
-        """Whether ``user_id`` is live in the arena (index hit only)."""
-        with self._lock:
-            return user_id in self._index
-
-    def __contains__(self, user_id: str) -> bool:
-        return self.exists(user_id)
-
-    def user_ids(self) -> List[str]:
-        """All live user ids."""
-        with self._lock:
-            return sorted(self._index)
-
-    def size_bytes(self) -> int:
-        """Bytes in the arena file, tombstones and garbage included."""
-        with self._lock:
-            return self._size
-
-    def compact(self) -> int:
-        """Rewrite the arena with only live frames; returns bytes freed.
-
-        Tombstoned users, superseded re-stores, and extractors no live
-        record references are all dropped. Exclusive maintenance: must
-        not run concurrently with other backend calls.
-        """
-        with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> int:  # guarded-by: caller
-        assert_owned(self._lock, "PackedArenaBackend._compact_locked")
-        old_size = self._size
-        buf = self._buffer()
-        referenced: Set[str] = set()
-        users = sorted(self._index.items())
-        for _user_id, (offset, _length) in users:
-            referenced.update(record_extractor_refs(buf, base=offset))
-        tmp_path = self._path.with_name("arena.bin.tmp")
-        new_index: Dict[str, Tuple[int, int]] = {}
-        new_ext: Dict[str, Tuple[int, int]] = {}
-        pos = 0
-        with open(tmp_path, "wb") as out:
-            for fingerprint in sorted(referenced):
-                offset, length = self._ext_index[fingerprint]
-                payload = bytes(buf[offset:offset + length])
-                frame = _frame(_KIND_EXTRACTOR, fingerprint, payload)
-                payload_at = (
-                    pos + _FRAME.size + _align8(len(fingerprint.encode()))
-                )
-                new_ext[fingerprint] = (payload_at, length)
-                out.write(frame)
-                pos += len(frame)
-            for user_id, (offset, length) in users:
-                payload = bytes(buf[offset:offset + length])
-                frame = _frame(_KIND_USER, user_id, payload)
-                payload_at = (
-                    pos + _FRAME.size + _align8(len(user_id.encode()))
-                )
-                new_index[user_id] = (payload_at, length)
-                out.write(frame)
-                pos += len(frame)
-        self._append.close()
-        os.replace(tmp_path, self._path)
-        self._append = open(self._path, "ab")
-        # Old mmap windows stay alive for in-flight readers; new calls
-        # remap against the compacted file.
-        self._mmap = None
-        self._mapped = 0
-        self._index = new_index
-        self._ext_index = new_ext
-        self._size = pos
-        return old_size - pos
-
-    def close(self) -> None:
-        """Release file handles (loads already in flight stay valid)."""
-        with self._lock:
-            self._append.close()
-            if self._mmap is not None:
-                self._mmap = None
-            self._mapped = 0
-
-
-__all__ = [
-    "PackedArenaBackend",
-    "ShardedPackedBackend",
-]
+__all__ = ["ShardedPackedBackend"]

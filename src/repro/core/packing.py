@@ -1,29 +1,30 @@
 """Packed binary templates: shared extractors, quantized per-user state.
 
-The ``.npz`` format in :mod:`repro.core.persistence` re-stores the full
-MiniRocket bias tables for every user at float64 — fine for one device,
-ruinous for a million-user registry, where every user enrolled against
-the same :class:`~repro.core.negatives.NegativeBank` carries an
-identical copy of the shared extractor. This module splits a serialized
-authenticator into:
+The stored template of one user has two parts: a small per-user ridge
+model (Eq. 7-9) and the MiniRocket extractors whose only fitted state
+is their bias tables (Eq. 5-6). Users enrolled against the same
+:class:`~repro.core.negatives.NegativeBank` carry identical extractors,
+so this module stores the two parts apart:
 
 - **extractor blobs** (magic ``P2EX``): the fitted MiniRocket state,
   always float64, content-addressed by a BLAKE2b fingerprint so each
-  distinct extractor is stored *once per arena* no matter how many
+  distinct extractor is stored *once per backend* no matter how many
   users reference it;
 - **user records** (magic ``P2PK``): everything user-specific — ridge
   coefficient vector, scaler mean/scale, scalars, PIN digest, options —
   optionally quantized to float32 or float16.
 
-Both blobs share one self-describing layout::
+Every blob shares one self-describing layout::
 
     magic(4) | version(u16) flags(u16) header_len(u32) | JSON header |
     pad-to-8 | 8-aligned C-contiguous array payloads
 
-Array offsets in the header are relative to the payload base, so a
-record can be decoded in place from any ``bytes``-like buffer — in
-particular an ``mmap`` slice, where :func:`unpack_record` costs one
-JSON parse plus zero-copy ``np.frombuffer`` views.
+so :func:`unpack_record` costs one JSON parse plus zero-copy
+``np.frombuffer`` views.
+
+The one-file form of :func:`save_authenticator` is a third blob (magic
+``P2AF``) holding a float64 record and its extractor blobs as uint8
+arrays, with the optional session configuration in its header.
 
 Quantization contract (verified by ``tests/core/test_packing.py`` and
 the registry benchmark's parity section): float64 records reproduce
@@ -34,26 +35,25 @@ bounded by the documented tolerances in docs/performance.md.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-import mmap
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..config import PipelineConfig
 from ..errors import ConfigurationError, PersistenceError
 from ..features import MiniRocket
 from ..ml import RidgeClassifier, StandardScaler
 from .authenticator import P2Auth
-from .models import WaveformModel
-from .persistence import (
-    _require_rocket_ridge,
-    authenticator_meta,
-    restore_authenticator,
-)
+from .degradation import DegradationPolicy
+from .models import EnrolledModels, EnrollmentOptions, WaveformModel
+from .session import RetryPolicy, SessionManager
 
 #: Format version written into every blob.
 PACK_VERSION = 1
@@ -63,6 +63,9 @@ RECORD_MAGIC = b"P2PK"
 
 #: Magic prefix of a shared-extractor blob.
 EXTRACTOR_MAGIC = b"P2EX"
+
+#: Magic prefix of a :func:`save_authenticator` file.
+FILE_MAGIC = b"P2AF"
 
 #: Supported quantization dtypes for per-user arrays.
 QUANT_DTYPES: Dict[str, np.dtype] = {  # concurrency: immutable-after-init
@@ -74,7 +77,7 @@ QUANT_DTYPES: Dict[str, np.dtype] = {  # concurrency: immutable-after-init
 _PRELUDE = struct.Struct("<HHI")  # version, flags, header_len
 _PRELUDE_LEN = 4 + _PRELUDE.size
 
-Buffer = Union[bytes, bytearray, memoryview, mmap.mmap]
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 def _align8(n: int) -> int:
@@ -117,32 +120,49 @@ def _encode_blob(
 
 
 def _decode_blob(
-    buf: Buffer, magic: bytes, base: int = 0
+    buf: Buffer, magic: bytes
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Decode a blob at ``base`` into ``(meta, arrays)``.
+    """Decode a blob into ``(meta, arrays)``.
 
     Arrays are zero-copy read-only views into ``buf`` whenever numpy
-    allows it (always, for ``bytes`` and ``mmap`` buffers).
+    allows it (always, for ``bytes`` buffers).
+
+    Raises:
+        PersistenceError: on a wrong magic or version, a buffer cut
+            short of its prelude, header or any array, or a header that
+            is not valid JSON.
     """
-    if bytes(buf[base:base + 4]) != magic:
+    if bytes(buf[:4]) != magic:
         raise PersistenceError(
-            f"bad blob magic {bytes(buf[base:base + 4])!r}; "
-            f"expected {magic!r}"
+            f"bad blob magic {bytes(buf[:4])!r}; expected {magic!r}"
         )
-    version, _flags, header_len = _PRELUDE.unpack_from(buf, base + 4)
+    size = len(buf)
+    if size < _PRELUDE_LEN:
+        raise PersistenceError(f"truncated blob: {size} bytes, no prelude")
+    version, _flags, header_len = _PRELUDE.unpack_from(buf, 4)
     if version != PACK_VERSION:
         raise PersistenceError(f"unsupported packed version: {version}")
-    header_start = base + _PRELUDE_LEN
-    header = json.loads(bytes(buf[header_start:header_start + header_len]))
-    payload_base = base + _align8(_PRELUDE_LEN + header_len)
+    if size < _PRELUDE_LEN + header_len:
+        raise PersistenceError(
+            f"truncated blob: {size} bytes, header needs {header_len}"
+        )
+    try:
+        header = json.loads(bytes(buf[_PRELUDE_LEN:_PRELUDE_LEN + header_len]))
+    except ValueError:
+        raise PersistenceError("blob header is not valid JSON") from None
+    payload_base = _align8(_PRELUDE_LEN + header_len)
     arrays: Dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
+        dtype = np.dtype(entry["dtype"])
         count = math.prod(entry["shape"])
+        offset = payload_base + int(entry["offset"])
+        if offset + count * dtype.itemsize > size:
+            raise PersistenceError(
+                f"truncated blob: {size} bytes, array {entry['name']!r} "
+                f"ends at {offset + count * dtype.itemsize}"
+            )
         arrays[entry["name"]] = np.frombuffer(
-            buf,
-            dtype=np.dtype(entry["dtype"]),
-            count=count,
-            offset=payload_base + int(entry["offset"]),
+            buf, dtype=dtype, count=count, offset=offset
         ).reshape(entry["shape"])
     return header["meta"], arrays
 
@@ -160,9 +180,9 @@ def encode_extractor(rocket: MiniRocket) -> Tuple[str, bytes]:
     return hashlib.blake2b(blob, digest_size=16).hexdigest(), blob
 
 
-def decode_extractor(blob: Buffer, base: int = 0) -> MiniRocket:
+def decode_extractor(blob: Buffer) -> MiniRocket:
     """Rebuild a fitted :class:`MiniRocket` from an extractor blob."""
-    meta, arrays = _decode_blob(blob, EXTRACTOR_MAGIC, base)
+    meta, arrays = _decode_blob(blob, EXTRACTOR_MAGIC)
     return MiniRocket.from_state(meta, arrays)
 
 
@@ -178,6 +198,93 @@ def _quantize(array: np.ndarray, dtype: np.dtype, clamp_zero: bool) -> np.ndarra
         # reprolint: disable-next=RL005 -- exact underflow sentinel, not a tolerance
         quantized[quantized == 0.0] = np.finfo(dtype).tiny
     return quantized
+
+
+def _require_rocket_ridge(model: WaveformModel, name: str) -> None:
+    classifier = type(model._classifier).__name__
+    if model.feature_method != "rocket" or not isinstance(
+        model._classifier, RidgeClassifier
+    ):
+        raise PersistenceError(
+            f"model {name!r} uses the unsupported combination "
+            f"(feature_method={model.feature_method!r}, "
+            f"classifier={classifier!r}); only (feature_method='rocket', "
+            "classifier='RidgeClassifier') is serializable"
+        )
+
+
+def authenticator_meta(auth: P2Auth) -> Dict[str, Any]:
+    """JSON-able enrollment metadata of a packed record.
+
+    Captures everything *besides* the model arrays that a reload needs
+    to behave identically: pipeline constants, enrollment options, the
+    salted PIN digest, and the degradation policy.
+    """
+    models = auth.models  # raises EnrollmentError when not enrolled
+    options = models.options
+    return {
+        "no_pin_mode": auth.no_pin_mode,
+        "pin_salt": auth._pin._salt.hex(),
+        "pin_digest": auth._pin._digest.hex() if auth._pin._digest else None,
+        "pipeline": {
+            "fs": models.config.fs,
+            "median_kernel": models.config.median_kernel,
+            "sg_window": models.config.sg_window,
+            "sg_polyorder": models.config.sg_polyorder,
+            "calibration_window": models.config.calibration_window,
+            "detrend_lambda": models.config.detrend_lambda,
+            "energy_window": models.config.energy_window,
+            "energy_threshold_ratio": models.config.energy_threshold_ratio,
+            "segment_window": models.config.segment_window,
+        },
+        "options": {
+            "privacy_boost": options.privacy_boost,
+            "num_features": options.num_features,
+            "full_window": options.full_window,
+            "full_margin": options.full_margin,
+            "feature_method": options.feature_method,
+            "seed": options.seed,
+            "min_positive_samples": options.min_positive_samples,
+            "quality_gate": options.quality_gate,
+            "min_quality_artifact_ratio": options.min_quality_artifact_ratio,
+        },
+        "policy": (
+            dataclasses.asdict(auth.policy) if auth.policy is not None else None
+        ),
+    }
+
+
+def restore_authenticator(
+    meta: Mapping[str, Any],
+    full_model: Optional[WaveformModel],
+    fused_model: Optional[WaveformModel],
+    key_models: Dict[str, WaveformModel],
+) -> P2Auth:
+    """Rebuild a ready-to-authenticate :class:`P2Auth` from
+    :func:`authenticator_meta` output plus already-unpacked models."""
+    config = PipelineConfig(**meta["pipeline"])
+    options = EnrollmentOptions(**meta["options"])
+    policy_meta = meta.get("policy")
+    policy = (
+        DegradationPolicy(**policy_meta) if policy_meta is not None else None
+    )
+    auth = P2Auth(
+        pin=None, pipeline_config=config, options=options, policy=policy
+    )
+    # Restore the PIN digest without ever knowing the PIN.
+    auth._pin._salt = bytes.fromhex(meta["pin_salt"])
+    auth._pin._digest = (
+        bytes.fromhex(meta["pin_digest"]) if meta["pin_digest"] else None
+    )
+    auth._models = EnrolledModels(
+        full_model=full_model,
+        fused_model=fused_model,
+        key_models=key_models,
+        options=options,
+        config=config,
+        keys_enrolled=tuple(sorted(key_models)),
+    )
+    return auth
 
 
 @dataclass(frozen=True)
@@ -204,8 +311,7 @@ def pack_authenticator(auth: P2Auth, dtype: str = "float32") -> PackedAuthentica
     """Pack an enrolled authenticator into the shared-extractor format.
 
     Args:
-        auth: the enrolled authenticator (rocket + ridge only, like
-            :func:`~repro.core.persistence.save_authenticator`).
+        auth: the enrolled authenticator (rocket + ridge models only).
         dtype: storage dtype for the per-user vectors — one of
             ``"float64"`` (bit-exact), ``"float32"`` (default), or
             ``"float16"``.
@@ -274,37 +380,21 @@ def pack_authenticator(auth: P2Auth, dtype: str = "float32") -> PackedAuthentica
     return PackedAuthenticator(record=record, extractors=extractors)
 
 
-def record_extractor_refs(buf: Buffer, base: int = 0) -> Tuple[str, ...]:
-    """The extractor fingerprints a user record references.
-
-    Lets a backend check blob availability (or garbage-collect
-    extractors at compaction) without rebuilding any model.
-    """
-    meta, _arrays = _decode_blob(buf, RECORD_MAGIC, base)
-    return tuple(
-        sorted({m["extractor"] for m in meta["models"].values()})
-    )
-
-
 def unpack_record(
-    buf: Buffer,
-    resolve_extractor: Callable[[str], MiniRocket],
-    base: int = 0,
+    buf: Buffer, resolve_extractor: Callable[[str], MiniRocket]
 ) -> P2Auth:
     """Rebuild a ready-to-authenticate :class:`P2Auth` from a record.
 
     Args:
-        buf: buffer holding a ``P2PK`` record at ``base`` — ``bytes``
-            or an ``mmap``; arrays are served as zero-copy views in
-            their stored dtype (NumPy widens float32/float16 exactly
-            inside the scaler and ridge arithmetic, so scores equal a
-            float64 copy's bit for bit).
+        buf: buffer holding a ``P2PK`` record; arrays are served as
+            zero-copy views in their stored dtype (NumPy widens
+            float32/float16 exactly inside the scaler and ridge
+            arithmetic, so scores equal a float64 copy's bit for bit).
         resolve_extractor: fingerprint → fitted shared extractor. The
             callable owns caching, so a warm pool makes unpacking a
             user O(per-user vectors) regardless of extractor size.
-        base: byte offset of the record inside ``buf``.
     """
-    meta, arrays = _decode_blob(buf, RECORD_MAGIC, base)
+    meta, arrays = _decode_blob(buf, RECORD_MAGIC)
     if meta.get("format") != "p2auth-packed":
         raise PersistenceError("buffer is not a packed P2Auth record")
 
@@ -349,8 +439,120 @@ def unpack_authenticator(packed: PackedAuthenticator) -> P2Auth:
     def resolve(fingerprint: str) -> MiniRocket:
         rocket = cache.get(fingerprint)
         if rocket is None:
-            rocket = decode_extractor(packed.extractors[fingerprint])
-            cache[fingerprint] = rocket
+            blob = packed.extractors.get(fingerprint)
+            if blob is None:
+                raise PersistenceError(f"extractor blob {fingerprint} is missing")
+            rocket = cache[fingerprint] = decode_extractor(blob)
         return rocket
 
     return unpack_record(packed.record, resolve)
+
+
+def save_authenticator(
+    auth: P2Auth,
+    path: Union[str, Path],
+    session: Optional[SessionManager] = None,
+) -> None:
+    """Write an enrolled authenticator to one file at ``path``.
+
+    The file is a ``P2AF`` blob holding the float64 record of
+    :func:`pack_authenticator` and its extractor blobs, so a reload
+    scores bit-identically. It carries everything a reload needs to
+    behave identically: the models, the pipeline constants, the
+    enrollment options (including the quality gate), the salted PIN
+    digest, and the :class:`~repro.core.degradation.DegradationPolicy`
+    — a reloaded authenticator keeps its recovery ladder instead of
+    failing open to the no-policy path.
+
+    Args:
+        auth: the enrolled authenticator.
+        path: destination file (``.p2a`` by convention).
+        session: optionally, a :class:`~repro.core.session.
+            SessionManager` whose configuration (wear threshold and
+            :class:`~repro.core.session.RetryPolicy`) is stored
+            alongside, for :func:`load_session`. Session *state* (the
+            event log, failure counter) is deliberately not persisted —
+            a reload starts a fresh session.
+
+    Raises:
+        EnrollmentError: if no user is enrolled.
+        PersistenceError: if a model uses a non-serializable
+            configuration.
+    """
+    packed = pack_authenticator(auth, dtype="float64")
+    arrays = {"record": np.frombuffer(packed.record, dtype=np.uint8)}
+    for fingerprint, blob in packed.extractors.items():
+        arrays[f"extractor/{fingerprint}"] = np.frombuffer(blob, dtype=np.uint8)
+    meta: Dict[str, Any] = {}
+    if session is not None:
+        meta["session"] = {
+            "wear_threshold": session._wear_threshold,
+            "retry": (
+                dataclasses.asdict(session._retry)
+                if session._retry is not None
+                else None
+            ),
+        }
+    Path(path).write_bytes(_encode_blob(FILE_MAGIC, meta, arrays))
+
+
+def _read_file(
+    path: Union[str, Path]
+) -> Tuple[Dict[str, Any], PackedAuthenticator]:
+    """The header meta and packed template of a saved file."""
+    data = Path(path).read_bytes()
+    if data[:4] != FILE_MAGIC:
+        raise ConfigurationError(f"{path} is not a P2Auth template file")
+    meta, arrays = _decode_blob(data, FILE_MAGIC)
+    if "record" not in arrays:
+        raise PersistenceError(f"{path} holds no template record")
+    return meta, PackedAuthenticator(
+        record=arrays.pop("record").tobytes(),
+        extractors={
+            name.removeprefix("extractor/"): blob.tobytes()
+            for name, blob in arrays.items()
+        },
+    )
+
+
+def load_authenticator(path: Union[str, Path]) -> P2Auth:
+    """Load an authenticator previously stored by :func:`save_authenticator`.
+
+    Returns:
+        A ready-to-authenticate :class:`P2Auth` (enrollment restored).
+
+    Raises:
+        ConfigurationError: if ``path`` is not a saved template file.
+        PersistenceError: if the file is truncated or corrupt.
+    """
+    _meta, packed = _read_file(path)
+    return unpack_authenticator(packed)
+
+
+def load_session(path: Union[str, Path]) -> SessionManager:
+    """Rebuild a session manager from a file written with
+    ``save_authenticator(auth, path, session=...)``.
+
+    The authenticator is loaded exactly as :func:`load_authenticator`
+    does (models, policy, PIN digest), then wrapped in a fresh
+    :class:`~repro.core.session.SessionManager` with the stored wear
+    threshold and retry policy. The session starts OFF_WRIST with an
+    empty log — state is lifecycle, not configuration.
+
+    Raises:
+        ConfigurationError: if the file carries no session block.
+    """
+    meta, packed = _read_file(path)
+    session_meta = meta.get("session")
+    if session_meta is None:
+        raise ConfigurationError(
+            f"{path} was saved without a session (pass session= to "
+            "save_authenticator)"
+        )
+    retry_meta = session_meta.get("retry")
+    retry = RetryPolicy(**retry_meta) if retry_meta is not None else None
+    return SessionManager(
+        unpack_authenticator(packed),
+        wear_threshold=float(session_meta["wear_threshold"]),
+        retry=retry,
+    )

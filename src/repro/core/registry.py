@@ -4,22 +4,19 @@ A deployed authentication service holds templates for many users, not
 one. :class:`ModelRegistry` separates template storage from the
 :class:`~repro.core.authenticator.P2Auth` façade: each user maps to
 their own enrolled authenticator, an LRU bound caps how many live in
-memory, and a pluggable :class:`RegistryBackend` (the bundled
-:class:`NpzDirectoryBackend` reuses :mod:`repro.core.persistence`)
-keeps evicted or restarted users loadable. The registry never touches
-the authentication path — a user's ``P2Auth`` behaves identically
-whether it came from :meth:`ModelRegistry.enroll`, a backend load, or
-direct construction.
+memory, and a :class:`RegistryBackend` (the bundled one is
+:class:`~repro.core.backends.ShardedPackedBackend`) keeps evicted or
+restarted users loadable. The registry never touches the
+authentication path — a user's ``P2Auth`` behaves identically whether
+it came from :meth:`ModelRegistry.enroll`, a backend load, or direct
+construction.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Union
+from typing import Dict, List, Optional, Protocol, Sequence
 
 from ..concurrency import assert_owned, checked_rlock
 from ..config import PipelineConfig
@@ -51,7 +48,7 @@ class RegistryBackend(Protocol):
     in memory — so ``load`` may be called concurrently (including for
     the same id when two threads miss at once; the registry keeps one
     winner). Implementations therefore need to tolerate concurrent
-    calls; the bundled file-per-user backend does so naturally.
+    calls; the bundled sharded backend does so through atomic renames.
     """
 
     def store(self, user_id: str, auth: P2Auth) -> None:
@@ -71,104 +68,8 @@ class RegistryBackend(Protocol):
         ...
 
     def exists(self, user_id: str) -> bool:
-        """Whether ``user_id`` is stored, without loading any model.
-
-        Backends with a cheap membership probe (an index hit, a
-        ``stat``) should override this; the default scans
-        :meth:`user_ids`.
-        """
-        return user_id in self.user_ids()
-
-    def __contains__(self, user_id: str) -> bool:
-        return self.exists(user_id)
-
-
-def backend_exists(backend: RegistryBackend, user_id: str) -> bool:
-    """Membership probe that tolerates minimal duck-typed backends.
-
-    Uses the backend's ``exists`` when it has one; otherwise falls back
-    to scanning ``user_ids()`` — the pre-``exists`` protocol surface —
-    so registries keep working with third-party backends that only
-    implement store/load/delete/user_ids.
-    """
-    probe = getattr(backend, "exists", None)
-    if callable(probe):
-        return bool(probe(user_id))
-    return user_id in backend.user_ids()
-
-
-class NpzDirectoryBackend:
-    """One ``.npz`` archive per user in a directory.
-
-    Reuses :func:`~repro.core.persistence.save_authenticator` /
-    :func:`~repro.core.persistence.load_authenticator`, so the same
-    serializability rules apply (rocket+ridge models only).
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._tmp = self._root / ".tmp"
-        self._tmp.mkdir(exist_ok=True)
-
-    def _path(self, user_id: str) -> Path:
-        return self._root / f"{_check_user_id(user_id)}.npz"
-
-    def store(self, user_id: str, auth: P2Auth) -> None:
-        from .persistence import save_authenticator
-
-        # Write-then-rename: a concurrent load of the same id sees
-        # either the old complete archive or the new one, never a
-        # half-written file. The staging dir keeps temp files out of
-        # the ``*.npz`` glob.
-        path = self._path(user_id)
-        fd, tmp_name = tempfile.mkstemp(suffix=".npz", dir=self._tmp)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                save_authenticator(auth, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
-
-    def load(self, user_id: str) -> P2Auth:
-        from .persistence import load_authenticator
-
-        # No exists() pre-check: a concurrent delete between the check
-        # and the open would surface as FileNotFoundError anyway, so
-        # map that directly to the protocol's KeyError.
-        try:
-            return load_authenticator(self._path(user_id))
-        except FileNotFoundError:
-            raise KeyError(user_id) from None
-
-    def delete(self, user_id: str) -> None:
-        self._path(user_id).unlink(missing_ok=True)
-
-    def exists(self, user_id: str) -> bool:
-        """Membership via one ``stat`` — no archive parsing.
-
-        Invalid ids are simply absent (``False``), matching
-        :meth:`user_ids` never listing them.
-        """
-        if not _USER_ID_RE.match(user_id):
-            return False
-        return self._path(user_id).exists()
-
-    def __contains__(self, user_id: str) -> bool:
-        return self.exists(user_id)
-
-    def user_ids(self) -> List[str]:
-        # Skip stems that fail the user-id grammar (stray files, or
-        # ids load() would reject): every listed id must round-trip.
-        return sorted(
-            p.stem
-            for p in self._root.glob("*.npz")
-            if _USER_ID_RE.match(p.stem)
-        )
+        """Whether ``user_id`` is stored, without loading any model."""
+        ...
 
 
 class ModelRegistry:
@@ -223,9 +124,8 @@ class ModelRegistry:
             if user_id in self._cache:
                 return True
         if self._backend is not None:
-            # Membership probe, not a directory scan: O(1) for
-            # backends with an exists() (all bundled ones).
-            return backend_exists(self._backend, user_id)
+            # Membership probe, not a directory scan.
+            return self._backend.exists(user_id)
         return False
 
     @property
@@ -414,7 +314,5 @@ class ModelRegistry:
 
 __all__ = [
     "ModelRegistry",
-    "NpzDirectoryBackend",
     "RegistryBackend",
-    "backend_exists",
 ]

@@ -73,11 +73,12 @@ class EnrollmentError(P2AuthError):
 class PersistenceError(EnrollmentError):
     """An enrolled model cannot be serialized or deserialized.
 
-    Raised by :mod:`repro.core.persistence` when an archive operation is
-    asked to handle a configuration outside the deployable rocket+ridge
-    combination (e.g. the manual-feature baseline or a custom
-    classifier), naming the unsupported ``(feature_method, classifier)``
-    pair. Subclasses :class:`EnrollmentError` because the remedy is the
+    Raised by :mod:`repro.core.packing` when packing is asked to handle
+    a configuration outside the deployable rocket+ridge combination
+    (e.g. the manual-feature baseline or a custom classifier), naming
+    the unsupported ``(feature_method, classifier)`` pair, and when a
+    stored blob or file is truncated or corrupt. Subclasses
+    :class:`EnrollmentError` because the remedy for the first is the
     same — re-enroll under a serializable configuration.
     """
 

@@ -11,10 +11,11 @@ honestly:
   distinct simulated users, fanned out over the process pool
   (:func:`repro.eval.parallel.parallel_map`), and packs each result.
 - :func:`materialize_population` replicates those packed templates
-  round-robin under distinct user ids through a packed backend's
-  ``store_packed`` fast path, skipping the (per-user identical)
-  enrollment compute while exercising the exact storage path every
-  record of a real population would take.
+  round-robin under distinct user ids through
+  :meth:`~repro.core.backends.ShardedPackedBackend.store_packed`,
+  skipping the (per-user identical) enrollment compute while
+  exercising the exact storage path every record of a real population
+  would take.
 
 Benchmark numbers built on top measure storage and load behavior —
 bytes per user, cold-load latency, index scale — which depend only on
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import List, Optional, Protocol
+from typing import List, Optional
 
-from ..core import EnrollmentOptions, P2Auth
+from ..core import EnrollmentOptions, P2Auth, ShardedPackedBackend
 from ..core.packing import PackedAuthenticator, pack_authenticator
 from ..data import StudyData, ThirdPartyStore
 from ..errors import ConfigurationError
@@ -114,14 +115,8 @@ def enroll_templates(
     return parallel_map(build_template, jobs, n_jobs=n_jobs)
 
 
-class _PackedBackend(Protocol):
-    def store_packed(
-        self, user_id: str, packed: PackedAuthenticator
-    ) -> None: ...
-
-
 def materialize_population(
-    backend: _PackedBackend,
+    backend: ShardedPackedBackend,
     n_users: int,
     templates: List[PackedAuthenticator],
     *,
@@ -129,12 +124,10 @@ def materialize_population(
 ) -> List[str]:
     """Store ``n_users`` packed records, cycling over ``templates``.
 
-    Requires a backend with the ``store_packed`` fast path
-    (:class:`~repro.core.backends.ShardedPackedBackend` or
-    :class:`~repro.core.backends.PackedArenaBackend`) — replication
-    through full re-packing would bottleneck on serialization instead
-    of storage. User ids are ``{prefix}0000000`` … zero-padded to seven
-    digits so listings sort numerically.
+    Goes through the backend's ``store_packed`` fast path —
+    replication through full re-packing would bottleneck on
+    serialization instead of storage. User ids are ``{prefix}0000000``
+    … zero-padded to seven digits so listings sort numerically.
 
     Returns:
         The stored user ids, in storage order.
@@ -143,16 +136,10 @@ def materialize_population(
         raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
     if not templates:
         raise ConfigurationError("templates must be non-empty")
-    store_packed = getattr(backend, "store_packed", None)
-    if not callable(store_packed):
-        raise ConfigurationError(
-            f"{type(backend).__name__} has no store_packed; bulk "
-            "materialization needs a packed backend (sharded or arena)"
-        )
     user_ids: List[str] = []
     for i in range(n_users):
         user_id = f"{prefix}{i:07d}"
-        store_packed(user_id, templates[i % len(templates)])
+        backend.store_packed(user_id, templates[i % len(templates)])
         user_ids.append(user_id)
     return user_ids
 

@@ -34,7 +34,7 @@ blocks are concatenated, which keeps channel-count comparisons
 Engines
 -------
 
-``transform`` dispatches between three interchangeable engines that
+``transform`` dispatches between two interchangeable engines that
 produce bit-identical features (see ``docs/performance.md``):
 
 - ``"c"`` — a small compiled kernel (built on demand with the system C
@@ -44,13 +44,15 @@ produce bit-identical features (see ``docs/performance.md``):
   convolutions of a dilation come from one matrix product of the
   module-level :data:`KERNEL_WEIGHTS` with the shifted stack, and the
   PPV pooling is broadcast across the whole (kernel, feature) grid.
-  Instance batching (``batch_size``) bounds peak memory.
-- ``"reference"`` — the original per-kernel Python loop, kept verbatim
-  as :meth:`MiniRocket._transform_reference` for parity testing.
+  Instance batching (``batch_size``) bounds peak memory. It is the
+  one fallback when no C compiler is available.
 
 The engine is chosen per instance (``engine=`` constructor argument) or
 globally via the ``REPRO_MINIROCKET_ENGINE`` environment variable
-(``auto``, ``c``, ``vectorized``, or ``reference``).
+(``auto``, ``c``, or ``vectorized``). The original per-kernel Python
+loop is no engine: it is kept verbatim as
+:meth:`MiniRocket._transform_reference`, the oracle both engines are
+tested bit-identical against.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ del _tap
 
 #: Engine names accepted by ``MiniRocket(engine=...)`` and the
 #: ``REPRO_MINIROCKET_ENGINE`` environment variable.
-ENGINES = ("auto", "c", "vectorized", "reference")
+ENGINES = ("auto", "c", "vectorized")
 
 
 def _golden_quantiles(n: int) -> np.ndarray:
@@ -238,9 +240,8 @@ class MiniRocket:
         batch_size: instances transformed per NumPy-engine batch; caps
             the size of the intermediate convolution/comparison buffers
             so peak memory stays bounded on large inputs.
-        engine: feature engine ("auto", "c", "vectorized",
-            "reference"); ``None`` defers to ``REPRO_MINIROCKET_ENGINE``
-            and then to "auto".
+        engine: feature engine ("auto", "c", "vectorized"); ``None``
+            defers to ``REPRO_MINIROCKET_ENGINE`` and then to "auto".
 
     Usage::
 
@@ -428,8 +429,9 @@ class MiniRocket:
         dilation schedule and bias tables — together everything
         :meth:`from_state` needs to rebuild an extractor whose
         transforms are bit-identical to this one's. The serialization
-        container (``.npz`` archive, packed arena record, ...) is the
-        caller's business; the array names are stable keys
+        container (the packed extractor blob of
+        :mod:`repro.core.packing`) is the caller's business; the array
+        names are stable keys
         (``dilations``, ``features_per_dilation``,
         ``biases/<channel>/<dilation>``).
         """
@@ -460,8 +462,8 @@ class MiniRocket:
         """Rebuild a fitted extractor from :meth:`get_state` output.
 
         The arrays may be read-only views into a larger buffer (e.g. a
-        memory-mapped arena): the transform only ever reads them, so no
-        copy is made.
+        packed extractor blob): the transform only ever reads them, so
+        no copy is made.
         """
         rocket = cls(
             num_features=int(header["num_features"]),
@@ -516,14 +518,7 @@ class MiniRocket:
             Feature matrix of shape ``(n, n_features_out)``.
         """
         x = self._check_transform_input(x)
-        engine = _resolve_engine(self.engine)
-        if engine == "reference":
-            features = self._transform_loop(x)
-            if out is not None:
-                np.copyto(out, features)
-                return out
-            return features
-        if engine == "c":
+        if _resolve_engine(self.engine) == "c":
             plan = self._c_plan()
             if plan is not None:
                 features = _ckernel.transform_prepared(plan, x, out=out)

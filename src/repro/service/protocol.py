@@ -54,6 +54,11 @@ NONCE_BYTES = 16
 #: Digits in a service-generated enrollment PIN.
 DEFAULT_PIN_LENGTH = 4
 
+#: Longest ``nonce`` or ``proof`` a request may carry. Clients send 32
+#: hex characters of nonce and 64 of proof; the bound keeps the replay
+#: cache, which holds every nonce it has seen, small per entry.
+MAX_TOKEN_CHARS = 128
+
 
 # ---------------------------------------------------------------------------
 # Crypto helpers (stdlib only)
@@ -146,6 +151,21 @@ def _get_str(payload: Mapping[str, Any], name: str, ctx: str) -> str:
     value = _get(payload, name, (str,), ctx)
     if not value:
         raise ProtocolError(f"{ctx}: field {name!r} must be non-empty")
+    return value
+
+
+def _get_token(payload: Mapping[str, Any], name: str, ctx: str) -> str:
+    """A ``nonce`` or ``proof``: 1 to :data:`MAX_TOKEN_CHARS` printable
+    ASCII characters, so the HMAC and ``compare_digest`` never see
+    anything else."""
+    value = _get_str(payload, name, ctx)
+    if not (
+        len(value) <= MAX_TOKEN_CHARS and value.isascii() and value.isprintable()
+    ):
+        raise ProtocolError(
+            f"{ctx}: field {name!r} must be 1-{MAX_TOKEN_CHARS} printable "
+            "ASCII characters"
+        )
     return value
 
 
@@ -371,8 +391,8 @@ class EnrollCompleteRequest:
             raise ProtocolError(f"{ctx}: trials must be non-empty")
         return cls(
             user_id=_get_str(body, "user_id", ctx),
-            nonce=_get_str(body, "nonce", ctx),
-            proof=_get_str(body, "proof", ctx),
+            nonce=_get_token(body, "nonce", ctx),
+            proof=_get_token(body, "proof", ctx),
             trials=tuple(_require_mapping(t, f"{ctx}.trials") for t in trials),
         )
 
@@ -407,8 +427,8 @@ class AuthRequest:
         _reject_unknown(body, ("user_id", "nonce", "proof", "trial"), ctx)
         return cls(
             user_id=_get_str(body, "user_id", ctx),
-            nonce=_get_str(body, "nonce", ctx),
-            proof=_get_str(body, "proof", ctx),
+            nonce=_get_token(body, "nonce", ctx),
+            proof=_get_token(body, "proof", ctx),
             trial=_require_mapping(_get(body, "trial", (Mapping,), ctx), ctx),
         )
 
@@ -483,6 +503,7 @@ __all__ = [
     "EnrollBeginResponse",
     "EnrollCompleteRequest",
     "EnrollCompleteResponse",
+    "MAX_TOKEN_CHARS",
     "NONCE_BYTES",
     "SessionStatusResponse",
     "decode_trial",

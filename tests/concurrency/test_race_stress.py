@@ -24,7 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import ModelRegistry, NpzDirectoryBackend
+from repro.core import ModelRegistry, ShardedPackedBackend
 from repro.core.stages import AuthPipeline
 from repro.eval.featurecache import FeatureCache
 
@@ -189,7 +189,11 @@ class TestRegistryThrash:
     def registry(self, tmp_path_factory, data, third_party, monkeypatch_class_env):
         from repro.core import EnrollmentOptions
 
-        backend = NpzDirectoryBackend(tmp_path_factory.mktemp("registry"))
+        # float64 records: a reload scores bit-identically to the
+        # enrolled original, so the baseline is the same either way.
+        backend = ShardedPackedBackend(
+            tmp_path_factory.mktemp("registry"), dtype="float64"
+        )
         registry = ModelRegistry(
             capacity=1,  # two users + capacity one = constant reload churn
             backend=backend,

@@ -1,6 +1,6 @@
-"""Unit tests for the packed registry backends (repro.core.backends).
+"""Unit tests for the packed registry backend (repro.core.backends).
 
-Parametrized round-trips cover all three bundled backends; the
+Round-trips cover the protocol surface of the bundled backend; the
 concurrency section exercises the protocol's promise that concurrent
 store/load/delete of the *same* user id stays safe (any load sees
 either a complete template or KeyError, never a torn read).
@@ -14,9 +14,7 @@ import pytest
 
 from repro.core import (
     EnrollmentOptions,
-    NpzDirectoryBackend,
     P2Auth,
-    PackedArenaBackend,
     ShardedPackedBackend,
     pack_authenticator,
 )
@@ -26,11 +24,7 @@ from repro.errors import ConfigurationError
 PIN = "1628"
 FEATURES = 840
 
-BACKENDS = {
-    "npz": NpzDirectoryBackend,
-    "sharded": ShardedPackedBackend,
-    "arena": PackedArenaBackend,
-}
+BACKENDS = {"sharded": ShardedPackedBackend}
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +101,6 @@ class TestProtocolRoundTrip:
     def test_reopen_sees_stored_users(self, kind, alice, tmp_path):
         first = _make(kind, tmp_path)
         first.store("alice", alice)
-        if hasattr(first, "close"):
-            first.close()
         second = _make(kind, tmp_path)
         assert second.user_ids() == ["alice"]
         assert second.load("alice").enrolled
@@ -184,60 +176,3 @@ class TestShardedLayout:
             ShardedPackedBackend(tmp_path / "a", n_shards=0)
         with pytest.raises(ConfigurationError):
             ShardedPackedBackend(tmp_path / "b", dtype="int8")
-
-
-class TestArenaLifecycle:
-    def test_tombstone_survives_reopen(self, alice, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
-        backend.store("alice", alice)
-        backend.store("bob", alice)
-        backend.delete("alice")
-        backend.close()
-        reopened = PackedArenaBackend(tmp_path)
-        assert reopened.user_ids() == ["bob"]
-        with pytest.raises(KeyError):
-            reopened.load("alice")
-
-    def test_compact_reclaims_and_preserves(self, alice, study_data, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
-        backend.store("alice", alice)
-        backend.store("alice", alice)  # superseded copy = garbage
-        backend.store("bob", alice)
-        backend.delete("bob")  # tombstone + garbage
-        before = backend.size_bytes()
-        probe = study_data.trials(0, PIN, "one_handed", 7)[6]
-        ref = backend.load("alice").authenticate(probe)
-        freed = backend.compact()
-        assert freed > 0
-        assert backend.size_bytes() == before - freed
-        assert backend.user_ids() == ["alice"]
-        got = backend.load("alice").authenticate(probe)
-        assert got.accepted == ref.accepted
-        assert got.scores == ref.scores
-
-    def test_compact_drops_unreferenced_extractors(self, alice, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
-        backend.store("alice", alice)
-        backend.delete("alice")
-        backend.compact()
-        assert backend.size_bytes() == 0
-        backend.close()
-        assert PackedArenaBackend(tmp_path).user_ids() == []
-
-    def test_truncated_tail_is_dropped(self, alice, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
-        backend.store("alice", alice)
-        backend.store("bob", alice)
-        backend.close()
-        arena = tmp_path / "arena.bin"
-        arena.write_bytes(arena.read_bytes()[:-20])  # crash mid-append
-        reopened = PackedArenaBackend(tmp_path)
-        assert reopened.user_ids() == ["alice"]
-        assert reopened.load("alice").enrolled
-        # Appends restart cleanly at the truncation point.
-        reopened.store("carol", alice)
-        assert reopened.user_ids() == ["alice", "carol"]
-
-    def test_invalid_dtype_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            PackedArenaBackend(tmp_path, dtype="int8")

@@ -1,4 +1,4 @@
-"""Unit tests for authenticator save/load."""
+"""Unit tests for authenticator save/load (the one-file packed form)."""
 
 import dataclasses
 
@@ -13,8 +13,10 @@ from repro.core import (
     SessionManager,
     load_authenticator,
     load_session,
+    pack_authenticator,
     save_authenticator,
 )
+from repro.core.packing import FILE_MAGIC, _encode_blob
 from repro.data import ThirdPartyStore
 from repro.errors import ConfigurationError, EnrollmentError, PersistenceError
 from repro.ml import KNNClassifier
@@ -25,7 +27,7 @@ FEATURES = 840
 
 @pytest.fixture(scope="module")
 def archive_path(enrolled_auth, tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "user0.npz"
+    path = tmp_path_factory.mktemp("models") / "user0.p2a"
     save_authenticator(enrolled_auth, path)
     return path
 
@@ -40,7 +42,7 @@ class TestSaveLoad:
             original = enrolled_auth.authenticate(probe)
             loaded = restored.authenticate(probe)
             assert original.accepted == loaded.accepted
-            assert np.allclose(original.scores, loaded.scores)
+            assert original.scores == loaded.scores
 
     def test_round_trip_scores_identical_per_key(
         self, enrolled_auth, archive_path, study_data
@@ -50,7 +52,7 @@ class TestSaveLoad:
         original = enrolled_auth.authenticate(probe)
         loaded = restored.authenticate(probe)
         assert original.keys_checked == loaded.keys_checked
-        assert np.allclose(original.scores, loaded.scores)
+        assert original.scores == loaded.scores
 
     def test_pin_digest_restored_without_pin(self, archive_path, study_data):
         restored = load_authenticator(archive_path)
@@ -65,7 +67,7 @@ class TestSaveLoad:
 
     def test_unenrolled_rejected(self, tmp_path):
         with pytest.raises(EnrollmentError):
-            save_authenticator(P2Auth(pin=PIN), tmp_path / "x.npz")
+            save_authenticator(P2Auth(pin=PIN), tmp_path / "x.p2a")
 
     def test_custom_classifier_rejected(self, study_data, tmp_path):
         auth = P2Auth(
@@ -78,7 +80,7 @@ class TestSaveLoad:
         store = ThirdPartyStore(study_data, [1, 2, 3], PIN)
         auth.enroll(study_data.trials(0, PIN, "one_handed", 5), store.sample(15))
         with pytest.raises(EnrollmentError):
-            save_authenticator(auth, tmp_path / "knn.npz")
+            save_authenticator(auth, tmp_path / "knn.p2a")
 
     def test_garbage_archive_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -86,8 +88,20 @@ class TestSaveLoad:
         with pytest.raises(ConfigurationError):
             load_authenticator(path)
 
+    @pytest.mark.parametrize("cut", ["prelude", "header", "middle", "tail"])
+    def test_truncated_file_raises_persistence_error(
+        self, archive_path, tmp_path, cut
+    ):
+        data = archive_path.read_bytes()
+        end = {"prelude": 10, "header": 40, "middle": len(data) // 2,
+               "tail": len(data) - 8}[cut]
+        path = tmp_path / "cut.p2a"
+        path.write_bytes(data[:end])
+        with pytest.raises(PersistenceError):
+            load_authenticator(path)
+
     def test_privacy_boost_round_trip(self, enrolled_auth_boost, tmp_path, study_data):
-        path = tmp_path / "boost.npz"
+        path = tmp_path / "boost.p2a"
         save_authenticator(enrolled_auth_boost, path)
         restored = load_authenticator(path)
         probe = study_data.trials(0, PIN, "one_handed", 8)[7]
@@ -95,6 +109,21 @@ class TestSaveLoad:
             restored.authenticate(probe).accepted
             == enrolled_auth_boost.authenticate(probe).accepted
         )
+
+
+    @pytest.mark.parametrize("missing", ["record", "extractor"])
+    def test_file_missing_a_blob_raises_persistence_error(
+        self, enrolled_auth, tmp_path, missing
+    ):
+        packed = pack_authenticator(enrolled_auth, dtype="float64")
+        arrays = {"record": np.frombuffer(packed.record, dtype=np.uint8)}
+        if missing == "record":
+            fingerprint, blob = next(iter(packed.extractors.items()))
+            arrays = {f"extractor/{fingerprint}": np.frombuffer(blob, np.uint8)}
+        path = tmp_path / "partial.p2a"
+        path.write_bytes(_encode_blob(FILE_MAGIC, {}, arrays))
+        with pytest.raises(PersistenceError):
+            load_authenticator(path)
 
 
 class TestUnsupportedCombos:
@@ -109,7 +138,7 @@ class TestUnsupportedCombos:
             study_data, EnrollmentOptions(feature_method="manual")
         )
         with pytest.raises(PersistenceError) as excinfo:
-            save_authenticator(auth, tmp_path / "manual.npz")
+            save_authenticator(auth, tmp_path / "manual.p2a")
         message = str(excinfo.value)
         assert "feature_method='manual'" in message
         assert "model 'full'" in message
@@ -124,7 +153,7 @@ class TestUnsupportedCombos:
             ),
         )
         with pytest.raises(PersistenceError) as excinfo:
-            save_authenticator(auth, tmp_path / "fused-knn.npz")
+            save_authenticator(auth, tmp_path / "fused-knn.p2a")
         assert "classifier='KNNClassifier'" in str(excinfo.value)
 
     def test_persistence_error_is_an_enrollment_error(self):
@@ -155,7 +184,7 @@ class TestPolicyRoundTrip:
     def test_policy_restored_with_identical_degradation_events(
         self, policied_auth, gappy_probe, tmp_path
     ):
-        path = tmp_path / "policied.npz"
+        path = tmp_path / "policied.p2a"
         save_authenticator(policied_auth, path)
         restored = load_authenticator(path)
         assert restored.policy == policied_auth.policy
@@ -178,7 +207,7 @@ class TestSessionRoundTrip:
         session = SessionManager(
             enrolled_auth, wear_threshold=0.4, retry=retry
         )
-        path = tmp_path / "session.npz"
+        path = tmp_path / "session.p2a"
         save_authenticator(enrolled_auth, path, session=session)
         restored = load_session(path)
         assert restored._wear_threshold == 0.4

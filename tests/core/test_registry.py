@@ -9,10 +9,8 @@ import pytest
 from repro.core import (
     EnrollmentOptions,
     ModelRegistry,
-    NpzDirectoryBackend,
     P2Auth,
     ShardedPackedBackend,
-    backend_exists,
     pack_authenticator,
 )
 from repro.data import ThirdPartyStore
@@ -23,6 +21,11 @@ from repro.features import minirocket as mr
 
 PIN = "1628"
 FEATURES = 840
+
+
+def _backend(root):
+    """A float64 store: reloads score bit-identically to the original."""
+    return ShardedPackedBackend(root, dtype="float64")
 
 
 def _enrolled(study_data, user_id):
@@ -86,7 +89,7 @@ class TestLruBehaviour:
             registry.get("b")
 
     def test_explicit_evict_only_touches_memory(self, alice, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path)
+        backend = _backend(tmp_path)
         registry = ModelRegistry(backend=backend)
         registry.add("alice", alice)
         assert registry.evict("alice")
@@ -96,7 +99,7 @@ class TestLruBehaviour:
         assert registry.get("alice").enrolled
 
     def test_remove_forgets_backend_copy(self, alice, tmp_path):
-        registry = ModelRegistry(backend=NpzDirectoryBackend(tmp_path))
+        registry = ModelRegistry(backend=_backend(tmp_path))
         registry.add("alice", alice)
         registry.remove("alice")
         assert registry.list_users() == []
@@ -108,7 +111,7 @@ class TestBackendRoundTrip:
     def test_evicted_user_scores_identically_after_reload(
         self, alice, study_data, tmp_path
     ):
-        registry = ModelRegistry(capacity=1, backend=NpzDirectoryBackend(tmp_path))
+        registry = ModelRegistry(capacity=1, backend=_backend(tmp_path))
         registry.add("alice", alice)
         probes = study_data.trials(0, PIN, "one_handed", 7)[5:]
         before = [registry.authenticate("alice", p) for p in probes]
@@ -121,11 +124,11 @@ class TestBackendRoundTrip:
             np.testing.assert_allclose(b.scores, a.scores, rtol=0, atol=0)
 
     def test_fresh_registry_sees_stored_users(self, alice, bob, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path)
+        backend = _backend(tmp_path)
         first = ModelRegistry(backend=backend)
         first.add("alice", alice)
         first.add("bob", bob)
-        rebooted = ModelRegistry(backend=NpzDirectoryBackend(tmp_path))
+        rebooted = ModelRegistry(backend=_backend(tmp_path))
         assert rebooted.list_users() == ["alice", "bob"]
         assert rebooted.cached_users() == []
         assert rebooted.get("bob").enrolled
@@ -254,7 +257,7 @@ class TestLockFreeLoads:
         assert registry.get("shared") is results[0]
 
     def test_loaded_user_arrives_warmed(self, alice, tmp_path):
-        registry = ModelRegistry(backend=NpzDirectoryBackend(tmp_path))
+        registry = ModelRegistry(backend=_backend(tmp_path))
         registry.add("alice", alice)
         registry.evict("alice")
         loaded = registry.get("alice")
@@ -320,18 +323,20 @@ class TestPlannedLoads:
         ]
 
 
-class TestNpzDirectoryHygiene:
+class TestShardedHygiene:
     def test_user_ids_skips_invalid_stems(self, alice, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path)
+        backend = _backend(tmp_path)
         backend.store("alice", alice)
-        # Stray archives whose stems load() would reject must not leak
+        # Stray records whose stems load() would reject must not leak
         # into the listing.
-        (tmp_path / "has space.npz").write_bytes(b"junk")
-        (tmp_path / ("x" * 65 + ".npz")).write_bytes(b"junk")
+        stray = tmp_path / "shards" / "0000"
+        stray.mkdir(parents=True, exist_ok=True)
+        (stray / "has space.p2u").write_bytes(b"junk")
+        (stray / ("x" * 65 + ".p2u")).write_bytes(b"junk")
         assert backend.user_ids() == ["alice"]
 
     def test_exists_is_list_consistent(self, alice, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path)
+        backend = _backend(tmp_path)
         backend.store("alice", alice)
         assert backend.exists("alice") and "alice" in backend
         assert not backend.exists("bob")
@@ -363,22 +368,6 @@ class _CountingBackend:
         return user_id == "stored"
 
 
-class _MinimalBackend:
-    """Pre-exists() protocol surface: only store/load/delete/user_ids."""
-
-    def store(self, user_id, auth):
-        pass
-
-    def load(self, user_id):
-        raise KeyError(user_id)
-
-    def delete(self, user_id):
-        pass
-
-    def user_ids(self):
-        return ["stored"]
-
-
 class TestMembershipProbe:
     def test_contains_uses_exists_not_directory_scan(self):
         backend = _CountingBackend()
@@ -388,19 +377,11 @@ class TestMembershipProbe:
         assert backend.exists_calls == 2
         assert backend.user_ids_calls == 0
 
-    def test_backend_exists_falls_back_to_user_ids(self):
-        backend = _MinimalBackend()
-        assert backend_exists(backend, "stored")
-        assert not backend_exists(backend, "absent")
-        registry = ModelRegistry(backend=backend)
-        assert "stored" in registry
-        assert "absent" not in registry
-
 
 class TestCacheStats:
     def test_hits_misses_evictions_counted(self, alice, tmp_path):
         registry = ModelRegistry(
-            capacity=1, backend=NpzDirectoryBackend(tmp_path)
+            capacity=1, backend=_backend(tmp_path)
         )
         assert registry.stats == {"hits": 0, "misses": 0, "evictions": 0}
         registry.add("alice", alice)
@@ -453,14 +434,14 @@ class TestAdminSurface:
         assert meta["stats"] == {"hits": 0, "misses": 0, "evictions": 0}
 
     def test_describe_names_backend_kind_and_counters(self, alice, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path / "models")
+        backend = _backend(tmp_path / "models")
         registry = ModelRegistry(capacity=1, backend=backend)
         registry.add("alice", alice)
         registry.get("alice")
         registry.evict("alice")
         registry.get("alice")  # miss -> backend load
         meta = registry.describe()
-        assert meta["backend"] == "NpzDirectoryBackend"
+        assert meta["backend"] == "ShardedPackedBackend"
         assert meta["capacity"] == 1
         assert meta["stats"]["hits"] == 1
         assert meta["stats"]["misses"] == 1

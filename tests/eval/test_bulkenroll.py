@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import NpzDirectoryBackend, PackedArenaBackend
+from repro.core import ShardedPackedBackend
 from repro.core.packing import unpack_authenticator
 from repro.eval import (
     TemplateJob,
@@ -41,19 +41,14 @@ class TestTemplates:
 
 class TestMaterialize:
     def test_round_robin_ids_and_storage(self, templates, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
+        backend = ShardedPackedBackend(tmp_path)
         ids = materialize_population(backend, 5, templates)
         assert ids == [f"u{i:07d}" for i in range(5)]
         assert backend.user_ids() == sorted(ids)
         assert backend.load("u0000003").enrolled
 
-    def test_requires_packed_backend(self, templates, tmp_path):
-        backend = NpzDirectoryBackend(tmp_path)
-        with pytest.raises(ConfigurationError):
-            materialize_population(backend, 2, templates)
-
     def test_validates_inputs(self, templates, tmp_path):
-        backend = PackedArenaBackend(tmp_path)
+        backend = ShardedPackedBackend(tmp_path)
         with pytest.raises(ConfigurationError):
             materialize_population(backend, 0, templates)
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,7 @@ from repro.features.minirocket import (
     _shifted_stack,
 )
 
-ENGINES = ["vectorized", "reference"] + (
+ENGINES = ["vectorized"] + (
     ["c"] if mr._ckernel.available() else []
 )
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.session import RetryPolicy
 from repro.service import AuthService, encode_trial, make_app, pin_proof
 from repro.service.http import MAX_HEADERS, serve
-from repro.service.protocol import make_nonce
+from repro.service.protocol import MAX_TOKEN_CHARS, make_nonce
 
 from .conftest import PIN, exchange, live_server
 
@@ -171,6 +171,39 @@ class TestErrorMapping:
             },
         )
         assert status == 400 and body["error"]["code"] == "protocol_error"
+
+    @pytest.mark.parametrize(
+        "path, field, value",
+        [
+            ("/v1/auth", "proof", "\u00e9"),
+            ("/v1/auth", "proof", "\ud800"),
+            ("/v1/auth", "nonce", "\ud800"),
+            ("/v1/auth", "nonce", "n" * (MAX_TOKEN_CHARS + 1)),
+            ("/v1/enroll/complete", "nonce", "\u00e9"),
+        ],
+        ids=["proof-latin1", "proof-surrogate", "nonce-surrogate",
+             "nonce-129-chars", "enroll-nonce-latin1"],
+    )
+    def test_malformed_proof_or_nonce_is_400(
+        self, app, probes, caplog, path, field, value
+    ):
+        # hmac raises TypeError or UnicodeEncodeError on such strings,
+        # so the parser has to refuse them before any proof check.
+        nonce = make_nonce()
+        req = {
+            "user_id": "u0",
+            "nonce": nonce,
+            "proof": pin_proof(PIN, "u0", nonce),
+            field: value,
+        }
+        if path == "/v1/auth":
+            req["trial"] = encode_trial(probes["legit"][0])
+        else:
+            req["trials"] = [encode_trial(probes["legit"][0])]
+        with caplog.at_level(logging.DEBUG, logger="repro.service.http"):
+            status, body, _ = post_json(app, path, req)
+        assert status == 400 and body["error"]["code"] == "protocol_error"
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
 
     def test_backoff_is_429_with_retry_after(self, service_registry, probes):
         svc = AuthService(

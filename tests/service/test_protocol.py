@@ -15,6 +15,7 @@ from repro.service.protocol import (
     AuthResponse,
     EnrollBeginRequest,
     EnrollCompleteRequest,
+    MAX_TOKEN_CHARS,
     decode_trial,
     encode_trial,
     make_nonce,
@@ -211,6 +212,27 @@ class TestRequestParsers:
             AuthRequest.parse(body)
         parsed = AuthRequest.parse({**body, "proof": "p"})
         assert parsed.user_id == "u0"
+
+    def test_nonce_and_proof_are_bounded_printable_ascii(self, one_trial):
+        nonce = make_nonce()
+        body = {
+            "user_id": "u0",
+            "nonce": nonce,
+            "proof": pin_proof(PIN, "u0", nonce),
+            "trial": encode_trial(one_trial),
+        }
+        enroll = {k: v for k, v in body.items() if k != "trial"}
+        enroll["trials"] = [body["trial"]]
+        assert AuthRequest.parse(body).nonce == nonce
+        assert EnrollCompleteRequest.parse(enroll).nonce == nonce
+        longest = "n" * MAX_TOKEN_CHARS
+        assert AuthRequest.parse({**body, "nonce": longest}).nonce == longest
+        for field in ("nonce", "proof"):
+            for bad in ("n" * (MAX_TOKEN_CHARS + 1), "\u00e9", "\ud800", "a\nb"):
+                with pytest.raises(ProtocolError, match=field):
+                    AuthRequest.parse({**body, field: bad})
+                with pytest.raises(ProtocolError, match=field):
+                    EnrollCompleteRequest.parse({**enroll, field: bad})
 
     def test_auth_response_withholds_keys_checked(self):
         wire = AuthResponse(
