@@ -55,8 +55,8 @@ import numpy as np
 from ..concurrency import checked_rlock
 from ..config import PipelineConfig
 from ..errors import AuthenticationError, NotFittedError
-from ..signal.calibration import calibrate_trial_indices_fast
-from ..signal.detrend import _solve_trend_fast, _validate_lam, warm_detrend_factor
+from ..signal.calibration import calibrate_trial_indices
+from ..signal.detrend import _solve_trend, _validate_lam, warm_detrend_factor
 from ..signal.energy import short_time_energy
 from ..signal.filters import (
     median_filter_multi_fast,
@@ -337,13 +337,13 @@ class HotAuthPipeline:
             out=scratch.filtered,
             work=scratch.median_work,
         )
-        trend = _solve_trend_fast(filtered, self._lam)
+        trend = _solve_trend(filtered, self._lam)
         detrended = np.subtract(filtered, trend, out=scratch.detrended)
 
         calibration_reference = np.mean(
             filtered, axis=0, out=scratch.calib_ref
         )
-        indices = calibrate_trial_indices_fast(
+        indices = calibrate_trial_indices(
             trial.recording, trial.events, config, calibration_reference
         )
 

@@ -7,18 +7,16 @@ keystroke presence detection by short-time energy thresholding. The
 result carries everything the enrollment and authentication phases
 need: detrended channels, calibrated per-keystroke indices, and the
 per-keystroke detection flags that drive input-case identification.
+``preprocess_trials`` maps it over a list of trials.
 
-``preprocess_trials`` is the batched entry point: the median filter is
-vectorized across channels, and same-length trials are stacked so all
-their channels go through the smoothness-priors detrend as a single
-multi-RHS banded solve against one cached factorization.
-``preprocess_trial`` delegates to it.
+``_preprocess_trial_reference`` keeps the pre-optimization per-channel
+path as the parity baseline for tests and ``scripts/bench_pipeline.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from ..signal import (
     median_filter_multi,
     segment_around,
     short_time_energy,
-    smoothness_priors_detrend_batch,
+    smoothness_priors_detrend,
 )
 from ..types import PinEntryTrial, SegmentedKeystroke
 
@@ -99,21 +97,53 @@ class PreprocessedTrial:
         )
 
 
-def _finalize_trial(
-    trial: PinEntryTrial,
-    filtered: np.ndarray,
-    detrended: np.ndarray,
-    config: PipelineConfig,
+def _validate_probe(trial: PinEntryTrial, config: PipelineConfig) -> None:
+    """The input checks of :func:`preprocess_trial`."""
+    if abs(trial.recording.fs - config.fs) > 1e-9:
+        raise SignalError(
+            f"recording at {trial.recording.fs} Hz but pipeline configured "
+            f"for {config.fs} Hz; use PipelineConfig.scaled_to"
+        )
+    if not bool(np.all(np.isfinite(trial.recording.samples))):
+        # Fail with a typed error instead of a NaN-poisoned crash
+        # deep inside scipy. Known-missing (NaN) samples are the
+        # degradation policy's job, upstream of preprocessing.
+        raise SignalError(
+            "recording contains non-finite samples; repair them first "
+            "(e.g. via a DegradationPolicy with gap repair)"
+        )
+
+
+def preprocess_trial(
+    trial: PinEntryTrial, config: Optional[PipelineConfig] = None
 ) -> PreprocessedTrial:
-    """Calibration, energy thresholding, and assembly for one trial."""
+    """Run the full preprocessing phase on one trial.
+
+    Args:
+        trial: raw PIN-entry trial.
+        config: pipeline constants; defaults to the paper's values. The
+            config's ``fs`` must match the recording's.
+
+    Returns:
+        The preprocessed trial.
+
+    Raises:
+        SignalError: on a sampling-rate mismatch, an empty recording, or
+            non-finite samples.
+    """
+    if config is None:
+        config = PipelineConfig()
+    _validate_probe(trial, config)
+    filtered = median_filter_multi(trial.recording.samples, config.median_kernel)
+
     # Calibration searches the channel-average of the filtered signal:
     # keystroke artifacts are coherent across channels while sensor
     # noise is not, so averaging raises the artifact contrast.
-    calibration_reference = filtered.mean(axis=0)
     indices = calibrate_trial_indices(
-        trial.recording, trial.events, config, calibration_reference
+        trial.recording, trial.events, config, filtered.mean(axis=0)
     )
 
+    detrended = smoothness_priors_detrend(filtered, config.detrend_lambda)
     reference = detrended.mean(axis=0)
     energy = short_time_energy(reference, config.energy_window)
     threshold = config.energy_threshold_ratio * float(energy.mean())
@@ -131,103 +161,13 @@ def _finalize_trial(
     )
 
 
-def _validate_probe(trial: PinEntryTrial, config: PipelineConfig) -> None:
-    """Input checks shared by the batched and fused preprocessing paths.
-
-    Raising the exact same errors from both entry points is part of the
-    hot path's parity contract (``repro.core.hotpath``).
-    """
-    if abs(trial.recording.fs - config.fs) > 1e-9:
-        raise SignalError(
-            f"recording at {trial.recording.fs} Hz but pipeline configured "
-            f"for {config.fs} Hz; use PipelineConfig.scaled_to"
-        )
-    if not bool(np.all(np.isfinite(trial.recording.samples))):
-        # Fail with a typed error instead of a NaN-poisoned crash
-        # deep inside scipy. Known-missing (NaN) samples are the
-        # degradation policy's job, upstream of preprocessing.
-        raise SignalError(
-            "recording contains non-finite samples; repair them first "
-            "(e.g. via a DegradationPolicy with gap repair)"
-        )
-
-
 def preprocess_trials(
     trials: Sequence[PinEntryTrial], config: Optional[PipelineConfig] = None
 ) -> List[PreprocessedTrial]:
-    """Run the preprocessing phase on a batch of trials.
-
-    Functionally identical to mapping :func:`preprocess_trial` over
-    ``trials``, but the heavy array work is batched: the median filter
-    runs vectorized across all channels of a trial, and all trials that
-    share a ``(channels, n)`` shape are stacked so their detrend is a
-    single multi-RHS banded solve against one cached factorization.
-
-    Args:
-        trials: raw PIN-entry trials, any mix of shapes.
-        config: pipeline constants; defaults to the paper's values. The
-            config's ``fs`` must match every recording's.
-
-    Returns:
-        Preprocessed trials, in input order.
-
-    Raises:
-        SignalError: on a sampling-rate mismatch, an empty recording, or
-            non-finite samples.
-    """
+    """Run :func:`preprocess_trial` on every trial, in input order."""
     if config is None:
         config = PipelineConfig()
-    trials = list(trials)
-    for trial in trials:
-        _validate_probe(trial, config)
-
-    filtered_list = [
-        median_filter_multi(trial.recording.samples, config.median_kernel)
-        for trial in trials
-    ]
-
-    # Group same-shape trials so each group's detrend is one stacked
-    # multi-RHS solve. dict preserves insertion order, and indices within
-    # a group stay ascending, so output order is easy to restore.
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for idx, filtered in enumerate(filtered_list):
-        groups.setdefault(filtered.shape, []).append(idx)
-
-    detrended_list: List[Optional[np.ndarray]] = [None] * len(trials)
-    for members in groups.values():
-        stack = np.stack([filtered_list[idx] for idx in members])
-        detrended_stack = smoothness_priors_detrend_batch(
-            stack, config.detrend_lambda
-        )
-        for pos, idx in enumerate(members):
-            detrended_list[idx] = detrended_stack[pos]
-
-    results = []
-    for trial, filtered, detrended in zip(trials, filtered_list, detrended_list):
-        assert detrended is not None  # every index belongs to one group
-        results.append(_finalize_trial(trial, filtered, detrended, config))
-    return results
-
-
-def preprocess_trial(
-    trial: PinEntryTrial, config: Optional[PipelineConfig] = None
-) -> PreprocessedTrial:
-    """Run the full preprocessing phase on one trial.
-
-    Delegates to the batched :func:`preprocess_trials`.
-
-    Args:
-        trial: raw PIN-entry trial.
-        config: pipeline constants; defaults to the paper's values. The
-            config's ``fs`` must match the recording's.
-
-    Returns:
-        The preprocessed trial.
-
-    Raises:
-        SignalError: on a sampling-rate mismatch or an empty recording.
-    """
-    return preprocess_trials([trial], config)[0]
+    return [preprocess_trial(trial, config) for trial in trials]
 
 
 def _preprocess_trial_reference(

@@ -8,7 +8,7 @@ decimation for the rate-sweep experiments.
 """
 
 from .calibration import calibrate_keystroke_index, calibrate_trial_indices
-from .detrend import smoothness_priors_detrend, smoothness_priors_detrend_batch
+from .detrend import smoothness_priors_detrend
 from .energy import short_time_energy, window_energy
 from .filters import median_filter, median_filter_multi, moving_average, savitzky_golay
 from .peaks import local_extrema
@@ -33,6 +33,5 @@ __all__ = [
     "segment_around",
     "short_time_energy",
     "smoothness_priors_detrend",
-    "smoothness_priors_detrend_batch",
     "window_energy",
 ]

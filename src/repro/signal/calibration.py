@@ -72,24 +72,10 @@ def calibrate_keystroke_index(
         raise ConfigurationError(f"window must be >= 2, got {window}")
 
     smoothed = savitzky_golay(samples, window=sg_window, polyorder=sg_polyorder)
-    return _calibrate_on_smoothed(smoothed, reported_index, window)
-
-
-def _calibrate_on_smoothed(
-    smoothed: np.ndarray, reported_index: int, window: int
-) -> int:
-    """Extreme-point search on an already Savitzky-Golay-smoothed signal.
-
-    Hoisted out of :func:`calibrate_keystroke_index` so that
-    :func:`calibrate_trial_indices` can smooth the shared reference
-    signal once per trial instead of once per keystroke — the search
-    itself and its result are unchanged.
-    """
     half = window // 2
     lo = max(0, reported_index - half)
     hi = min(smoothed.size, reported_index + half + 1)
-    segment = smoothed[lo:hi]
-    candidates = local_extrema(segment) + lo
+    candidates = local_extrema(smoothed[lo:hi]) + lo
 
     best_index = reported_index
     best_score = -np.inf
@@ -101,24 +87,28 @@ def _calibrate_on_smoothed(
     return best_index
 
 
-def calibrate_trial_indices_fast(
+def calibrate_trial_indices(
     recording: PPGRecording,
     events: Sequence[KeystrokeEvent],
     config: PipelineConfig,
     reference: np.ndarray,
 ) -> List[int]:
-    """Result-identical hot-path twin of :func:`calibrate_trial_indices`.
+    """Calibrate every keystroke of a trial against a reference signal.
 
-    Same signature, same returned indices, same errors (pinned by
-    ``tests/signal/test_calibration.py``) — restructured for per-call
-    latency:
+    Each event's reported time becomes a raw sample index, clipped into
+    the signal, and snaps to the apex that
+    :func:`calibrate_keystroke_index` would pick from it. The indices
+    equal that per-event search's (pinned by
+    ``tests/signal/test_calibration.py``); the work is arranged for
+    per-trial latency:
 
-    - The Savitzky-Golay smoothing reuses cached FIR coefficients, and
-      the two polynomial *edge* fits — the dominant SG cost — run only
-      when some keystroke's search/objective window can actually reach
-      the first or last ``sg_window // 2`` samples. Interior smoothed
-      values are bit-identical either way, and only read values affect
-      the selected indices.
+    - The reference is Savitzky-Golay-smoothed once per trial, with
+      cached FIR coefficients, and the two polynomial *edge* fits — the
+      dominant SG cost — run only when some keystroke's
+      search/objective window can reach the first or last
+      ``sg_window // 2`` samples. Interior smoothed values are
+      bit-identical either way, and only read values affect the
+      selected indices.
     - The strict local-extrema mask is computed once over the whole
       smoothed signal instead of per search window. A slice-interior
       point compares against the same two neighbours as the global
@@ -130,8 +120,18 @@ def calibrate_trial_indices_fast(
       the last axis reduces each row independently, matching the
       per-slice mean), with edge-clipped candidates falling back to
       the scalar objective. ``local_extrema`` orders candidates
-      ascending and the reference keeps the *first* strict maximum,
-      which is precisely ``np.argmax``.
+      ascending and the per-event search keeps the *first* strict
+      maximum, which is precisely ``np.argmax``.
+
+    Args:
+        recording: the source recording (provides the time base).
+        events: phone-reported keystroke events.
+        config: pipeline constants (windows, SG parameters).
+        reference: 1-D reference signal aligned with ``recording``
+            (typically the channel average after noise removal).
+
+    Returns:
+        Calibrated sample indices, one per event, in event order.
     """
     reference = np.asarray(reference, dtype=np.float64)
     if reference.ndim != 1 or reference.size != recording.n_samples:
@@ -231,49 +231,3 @@ def calibrate_trial_indices_fast(
         pos += cand.size
     return indices
 
-
-def calibrate_trial_indices(
-    recording: PPGRecording,
-    events: Sequence[KeystrokeEvent],
-    config: PipelineConfig,
-    reference: np.ndarray,
-) -> List[int]:
-    """Calibrate every keystroke of a trial against a reference signal.
-
-    Args:
-        recording: the source recording (provides the time base).
-        events: phone-reported keystroke events.
-        config: pipeline constants (windows, SG parameters).
-        reference: 1-D reference signal aligned with ``recording``
-            (typically the channel average after noise removal).
-
-    Returns:
-        Calibrated sample indices, one per event, in event order.
-    """
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.ndim != 1 or reference.size != recording.n_samples:
-        raise SignalError(
-            "reference must be 1-D and aligned with the recording: "
-            f"got {reference.shape} for {recording.n_samples} samples"
-        )
-    if config.calibration_window < 2:
-        raise ConfigurationError(
-            f"window must be >= 2, got {config.calibration_window}"
-        )
-    # Smooth the shared reference once for the whole trial; every
-    # keystroke searches the same filtered signal (identical results to
-    # smoothing per event, at 1/len(events) of the SG cost).
-    smoothed = savitzky_golay(
-        reference, window=config.sg_window, polyorder=config.sg_polyorder
-    )
-    indices = []
-    for event in events:
-        raw_index = int(round((event.reported_time - recording.start_time)
-                              * recording.fs))
-        raw_index = int(np.clip(raw_index, 0, recording.n_samples - 1))
-        indices.append(
-            _calibrate_on_smoothed(
-                smoothed, raw_index, config.calibration_window
-            )
-        )
-    return indices

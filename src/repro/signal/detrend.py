@@ -14,13 +14,12 @@ identification depends on.
 
 The system matrix :math:`A = I + \\lambda^2 D_2^T D_2` is symmetric
 positive-definite and pentadiagonal, so it is solved with a banded
-Cholesky factorization (``scipy.linalg.cholesky_banded`` +
-``cho_solve_banded``) in O(n). The factor depends only on ``(n, lam)``
+Cholesky factorization (``scipy.linalg.cholesky_banded``, then the
+LAPACK ``pbtrs`` backsubstitution) in O(n). The factor depends only on ``(n, lam)``
 — not on the data — so it is computed once per signal length and
 regularization value, cached in an LRU, and reused for every channel
-and every trial of that shape. All channels of a trial (and whole
-batches of same-length trials) are solved as a single multi-RHS
-backsubstitution.
+and every trial of that shape. All channels of a trial are solved as
+one multi-RHS backsubstitution.
 
 The previous generic ``scipy.sparse.linalg.spsolve`` implementation is
 kept verbatim as :func:`_estimate_trend_reference`; the parity suite in
@@ -35,7 +34,7 @@ from typing import Any
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
 from scipy.sparse.linalg import spsolve
 
 from ..errors import ConfigurationError, SignalError
@@ -117,24 +116,6 @@ def warm_detrend_factor(n: int, lam: float = 50.0) -> None:
     _banded_cholesky(int(n), lam)
 
 
-def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
-    """Solve ``A x = b`` for every row of ``rows`` in one banded call.
-
-    Args:
-        rows: right-hand sides, shape ``(n,)`` or ``(m, n)``.
-        lam: regularization parameter (validated by the caller).
-
-    Returns:
-        The solutions, same shape as ``rows``.
-    """
-    n = rows.shape[-1]
-    factor = _banded_cholesky(n, lam)
-    if rows.ndim == 1:
-        return cho_solve_banded((factor, False), rows, check_finite=False)
-    solved = cho_solve_banded((factor, False), rows.T, check_finite=False)
-    return np.ascontiguousarray(solved.T)
-
-
 # Lazy memo for the resolved LAPACK routine. The unlocked write below
 # is a benign race: every racing thread resolves and stores the
 # identical function object, and CPython publishes the reference
@@ -142,15 +123,22 @@ def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
 _pbtrs = None  # concurrency: thread-safe
 
 
-def _solve_trend_fast(rows: np.ndarray, lam: float) -> np.ndarray:
-    """Hot-path twin of :func:`_solve_trend` for 2-D float64 rows.
+def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
+    """Solve ``A x = b`` for every row of ``rows`` in one banded call.
 
-    Issues the exact LAPACK ``pbtrs`` backsubstitution that
-    ``cho_solve_banded`` wraps — same cached factor, same right-hand
-    -side memory — minus the wrapper's per-call validation, and returns
-    the transposed solution *view* instead of a contiguous copy (the
-    caller only reads it elementwise). Bit-identical values to
-    :func:`_solve_trend`; pinned by ``tests/signal/test_detrend.py``.
+    Issues the LAPACK ``pbtrs`` backsubstitution that
+    ``scipy.linalg.cho_solve_banded`` wraps, against the cached factor,
+    minus the wrapper's per-call validation; the values are
+    bit-identical to ``cho_solve_banded`` (pinned by
+    ``tests/signal/test_detrend.py``). ``rows`` is not modified.
+
+    Args:
+        rows: float64 right-hand sides, shape ``(n,)`` or ``(m, n)``.
+        lam: regularization parameter (validated by the caller).
+
+    Returns:
+        The solutions, same shape as ``rows``; a 2-D result is the
+        transposed view of LAPACK's column-major output.
     """
     global _pbtrs
     factor = _banded_cholesky(rows.shape[-1], lam)
@@ -225,32 +213,3 @@ def smoothness_priors_detrend(samples: np.ndarray, lam: float = 50.0) -> np.ndar
         )
     return samples - _solve_trend(samples, lam)
 
-
-def smoothness_priors_detrend_batch(
-    stacks: np.ndarray, lam: float = 50.0
-) -> np.ndarray:
-    """Detrend a batch of same-length multi-channel signals at once.
-
-    Flattens a ``(batch, channels, n)`` stack into ``batch * channels``
-    right-hand sides and performs a single multi-RHS solve against the
-    cached ``(n, lam)`` factorization — the fastest way to preprocess
-    many same-shape trials (see ``repro.core.pipeline.preprocess_trials``).
-
-    Args:
-        stacks: 3-D array ``(batch, channels, n)``.
-        lam: regularization parameter lambda.
-
-    Returns:
-        Detrended array with the same shape as the input.
-    """
-    stacks = np.asarray(stacks, dtype=np.float64)
-    lam = _validate_lam(lam)
-    if stacks.ndim != 3:
-        raise SignalError(f"expected a 3-D (batch, channels, n) input, got {stacks.shape}")
-    if stacks.shape[-1] < 3:
-        raise SignalError(
-            f"detrending needs at least 3 samples, got {stacks.shape[-1]}"
-        )
-    batch, channels, n = stacks.shape
-    rows = stacks.reshape(batch * channels, n)
-    return (rows - _solve_trend(rows, lam)).reshape(batch, channels, n)

@@ -118,15 +118,30 @@ def _events(times):
     ]
 
 
+def _per_event_reference(rec, events, config, reference):
+    """Per-event :func:`calibrate_keystroke_index` on the clipped
+    reported index, as ``_preprocess_trial_reference`` calibrates."""
+    indices = []
+    for event in events:
+        raw = int(round((event.reported_time - rec.start_time) * rec.fs))
+        raw = int(np.clip(raw, 0, rec.n_samples - 1))
+        indices.append(
+            calibrate_keystroke_index(
+                reference,
+                raw,
+                window=config.calibration_window,
+                sg_window=config.sg_window,
+                sg_polyorder=config.sg_polyorder,
+            )
+        )
+    return indices
+
+
 class TestFastTrialCalibration:
-    """calibrate_trial_indices_fast must be result-identical to the
-    reference implementation — same indices, same errors."""
+    """calibrate_trial_indices must be result-identical to per-event
+    calibrate_keystroke_index — same indices, same errors."""
 
     def test_randomized_parity(self):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
         from repro.signal.filters import clear_savgol_cache
 
         rng = np.random.default_rng(7)
@@ -153,38 +168,29 @@ class TestFastTrialCalibration:
             # (the raw index is clipped into the signal by both paths).
             times = rng.uniform(-0.2, n / rec.fs + 0.2, size=k)
             events = _events(times)
-            slow = calibrate_trial_indices(rec, events, config, reference)
-            fast = calibrate_trial_indices_fast(rec, events, config, reference)
+            slow = _per_event_reference(rec, events, config, reference)
+            fast = calibrate_trial_indices(rec, events, config, reference)
             assert fast == slow, (
                 f"case {case}: n={n} window={window} sg={sg_window}"
             )
 
     def test_empty_events(self, pipeline_config):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
-
         rec = _recording(120)
         reference = np.linspace(0.0, 1.0, 120)
-        assert calibrate_trial_indices_fast(
+        assert calibrate_trial_indices(
             rec, [], pipeline_config, reference
-        ) == calibrate_trial_indices(rec, [], pipeline_config, reference)
+        ) == _per_event_reference(rec, [], pipeline_config, reference) == []
 
     def test_error_parity(self, pipeline_config):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
-
         rec = _recording(100)
         events = _events([0.5])
         bad_ref = np.zeros(10)
-        with pytest.raises(SignalError) as slow_err:
-            calibrate_trial_indices(rec, events, pipeline_config, bad_ref)
         with pytest.raises(SignalError) as fast_err:
-            calibrate_trial_indices_fast(rec, events, pipeline_config, bad_ref)
-        assert str(fast_err.value) == str(slow_err.value)
+            calibrate_trial_indices(rec, events, pipeline_config, bad_ref)
+        assert str(fast_err.value) == (
+            "reference must be 1-D and aligned with the recording: "
+            "got (10,) for 100 samples"
+        )
 
         # PipelineConfig rejects calibration_window < 2 at construction,
         # so a stub drives the functions' own defensive check.
@@ -195,7 +201,8 @@ class TestFastTrialCalibration:
         )()
         good_ref = np.zeros(100)
         with pytest.raises(ConfigurationError) as slow_cfg:
-            calibrate_trial_indices(rec, events, tiny, good_ref)
+            _per_event_reference(rec, events, tiny, good_ref)
         with pytest.raises(ConfigurationError) as fast_cfg:
-            calibrate_trial_indices_fast(rec, events, tiny, good_ref)
+            calibrate_trial_indices(rec, events, tiny, good_ref)
         assert str(fast_cfg.value) == str(slow_cfg.value)
+        assert str(fast_cfg.value) == "window must be >= 2, got 1"

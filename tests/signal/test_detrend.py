@@ -11,7 +11,6 @@ from repro.signal.detrend import (
     detrend_cache_info,
     estimate_trend,
     smoothness_priors_detrend,
-    smoothness_priors_detrend_batch,
 )
 
 
@@ -167,26 +166,21 @@ class TestBandedParity:
         assert np.array_equal(multi, single)
 
     def test_batch_identical_to_per_trial(self):
+        """One solve over many trials' stacked channels is bitwise
+        equal to solving each trial on its own."""
+        from repro.signal.detrend import _solve_trend
+
         stacks = np.stack(
             [
                 np.vstack([_ppg_like(150, seed=10 * b + c) for c in range(4)])
                 for b in range(3)
             ]
         )
-        batched = smoothness_priors_detrend_batch(stacks, lam=50.0)
-        per_trial = np.stack(
-            [smoothness_priors_detrend(trial, lam=50.0) for trial in stacks]
+        stacked = _solve_trend(stacks.reshape(12, 150), 50.0).reshape(
+            stacks.shape
         )
-        assert batched.shape == stacks.shape
-        assert np.array_equal(batched, per_trial)
-
-    def test_batch_rejects_2d(self):
-        with pytest.raises(SignalError):
-            smoothness_priors_detrend_batch(np.zeros((4, 100)))
-
-    def test_batch_rejects_short_signals(self):
-        with pytest.raises(SignalError):
-            smoothness_priors_detrend_batch(np.zeros((2, 3, 2)))
+        per_trial = np.stack([_solve_trend(trial, 50.0) for trial in stacks])
+        assert np.array_equal(stacked, per_trial)
 
 
 class TestFactorizationCache:
@@ -223,25 +217,33 @@ class TestFactorizationCache:
 
 
 class TestSolveTrendFast:
-    """The LAPACK-direct solver must be bit-identical to the
-    cho_solve_banded reference path (promised by its docstring)."""
+    """The LAPACK-direct solver must be bit-identical to
+    scipy.linalg.cho_solve_banded on the same cached factor."""
 
     def test_bit_identical_on_2d_rows(self):
-        from repro.signal.detrend import _solve_trend, _solve_trend_fast
+        from scipy.linalg import cho_solve_banded
+
+        from repro.signal.detrend import _banded_cholesky, _solve_trend
 
         rng = np.random.default_rng(11)
         for n, m, lam in ((32, 1, 10.0), (257, 4, 50.0), (600, 3, 1e4)):
             rows = np.ascontiguousarray(rng.standard_normal((m, n)))
-            fast = _solve_trend_fast(rows, lam)
-            slow = _solve_trend(rows, lam)
-            assert fast.shape == slow.shape
-            assert np.array_equal(np.asarray(fast), slow)
+            factor = _banded_cholesky(n, lam)
+            fast = _solve_trend(rows, lam)
+            slow = cho_solve_banded((factor, False), rows.T).T
+            assert fast.shape == rows.shape
+            assert np.array_equal(fast, slow)
+            for row, solved in zip(rows, fast):
+                single = cho_solve_banded((factor, False), row)
+                assert np.array_equal(_solve_trend(row, lam), single)
+                assert np.array_equal(solved, single)
 
     def test_input_rows_not_mutated(self):
-        from repro.signal.detrend import _solve_trend_fast
+        from repro.signal.detrend import _solve_trend
 
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((2, 128))
         before = rows.copy()
-        _solve_trend_fast(rows, 10.0)
+        _solve_trend(rows, 10.0)
+        _solve_trend(rows[0], 10.0)
         assert np.array_equal(rows, before)

@@ -113,12 +113,25 @@ class TestMovingAverage:
 
 class TestMedianFilterMulti:
     def test_matches_per_row_median_filter(self):
+        # Kernels 3 and 5 run the min/max selection network, the others
+        # a sorting median; per-row scipy medfilt is the reference.
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 257))
-        for kernel in (1, 3, 5, 9):
-            multi = median_filter_multi(x, kernel)
+        noise = rng.normal(size=(4, 257))
+        # Ties and constant runs: values drawn from a 4-value set, plus
+        # long flat stretches, so windows hold repeated values.
+        ties = rng.integers(-2, 2, size=(4, 257)).astype(np.float64)
+        ties[:, 40:90] = 1.0
+        ties[1, 100:160] = 0.0
+        for x in (noise, ties):
+            for kernel in (1, 3, 5, 9):
+                multi = median_filter_multi(x, kernel)
+                per_row = np.vstack([median_filter(row, kernel) for row in x])
+                assert np.array_equal(multi, per_row), kernel
+        # A signal exactly one kernel long filters (no passthrough).
+        for kernel in (3, 5, 9):
+            x = rng.normal(size=(3, kernel))
             per_row = np.vstack([median_filter(row, kernel) for row in x])
-            assert np.array_equal(multi, per_row)
+            assert np.array_equal(median_filter_multi(x, kernel), per_row)
 
     def test_single_channel_matches(self):
         rng = np.random.default_rng(1)
