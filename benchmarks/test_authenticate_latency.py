@@ -1,13 +1,11 @@
-"""Perf-regression smoke test for the authenticate hot path.
+"""Perf-regression smoke test for single-probe authentication.
 
 Runs the same harness as ``scripts/bench_authenticate.py`` under
-pytest-benchmark: warm staged reference (``repro.core.stages
-.AuthPipeline``) vs fused (``auth.authenticate``) single-probe latency,
-interleaved per iteration, and the cold first call. The asserted floors
-are deliberately far below the measured numbers (fused ~1.7x staged and
-well under 10 ms p50 in full mode on an idle core) so the test flags
-genuine regressions, not CI noise — and the parity flags must hold
-exactly at any scale.
+pytest-benchmark: warm ``auth.authenticate`` latency over repeated
+calls, and the cold first call. The asserted floor is deliberately far
+above the measured number (about 3 ms p50 in full mode on an idle
+core) so the test flags genuine regressions, not CI noise — and the
+parity flags must hold exactly at any scale.
 """
 
 from __future__ import annotations
@@ -42,19 +40,17 @@ def test_authenticate_hot_path(benchmark, report):
     single = result["single"]
     report(
         "authenticate — "
-        f"staged p50 {single['staged']['p50_ms']:.2f} ms | "
-        f"fused p50 {single['fused']['p50_ms']:.2f} ms | "
-        f"speedup {single['speedup_fused']:.2f}x | "
+        f"p50 {single['p50_ms']:.2f} ms | "
+        f"p99 {single['p99_ms']:.2f} ms | "
         f"warmup {result['cold']['warmup_ms']:.1f} ms"
     )
 
-    # Exactness is non-negotiable at any scale: every optimized path
-    # must return the same decisions as the staged reference.
+    # Exactness is non-negotiable at any scale: every repeat, and the
+    # cold and warmed first calls, must return the same decision.
     assert single["parity_ok"]
     assert result["cold"]["parity_ok"]
 
-    # Latency floors, kept loose against shared-runner noise; the
-    # committed full-mode BENCH_authenticate.json holds the real bar
-    # (fused >= 1.5x staged, warm p50 <= 10 ms).
-    assert single["speedup_fused"] >= 1.2
-    assert single["fused"]["p50_ms"] <= 25.0
+    # Latency floor, kept loose against shared-runner noise; the
+    # committed full-mode BENCH_authenticate.json holds the real
+    # number.
+    assert single["p50_ms"] <= 25.0

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the authenticate hot path and write BENCH_authenticate.json.
+"""Benchmark single-probe authentication and write BENCH_authenticate.json.
 
 Two sections, both on paper-shaped probes (4 PPG channels, ~5 s at
 100 Hz):
 
-- ``single`` — one warm probe through the staged reference engine
-  (``repro.core.stages.AuthPipeline``) and the fused engine
-  (``P2Auth.authenticate``), interleaved within every iteration so
-  CPU-frequency drift cancels instead of biasing one side; p50/p95/p99
-  per path and the decision-equality flag.
+- ``single`` — one warm probe through ``P2Auth.authenticate`` (the
+  staged ``repro.core.stages.AuthPipeline``), repeated; p50/p95/p99
+  and a flag that every repeat returned the first call's decision.
 - ``cold`` — the price of the first call: a cold start (empty SG /
-  detrend / kernel-plan caches, empty per-thread scratch buffers)
-  versus calling :meth:`P2Auth.warmup` first and then authenticating.
+  detrend / kernel-plan caches) versus calling :meth:`P2Auth.warmup`
+  first and then authenticating.
 
-The headline numbers are ``single.speedup_fused`` (staged p50 over
-fused p50) and ``single.fused.p50_ms`` — the acceptance gate wants
->= 1.5x and <= 10 ms in full mode.
+The headline number is ``single.p50_ms``; the perf-smoke test keeps it
+under 25 ms.
 
 Usage::
 
@@ -41,8 +38,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import PAPER_PINS  # noqa: E402
 from repro.core import EnrollmentOptions, P2Auth  # noqa: E402
-from repro.core.hotpath import clear_thread_buffers  # noqa: E402
-from repro.core.stages import AuthPipeline  # noqa: E402
 from repro.data import StudyData, ThirdPartyStore  # noqa: E402
 from repro.features import c_kernel_available  # noqa: E402
 from repro.signal.detrend import clear_detrend_cache  # noqa: E402
@@ -76,10 +71,9 @@ def _reset_cold(auth) -> None:
 
     Clears every cache :meth:`P2Auth.warmup` would prime — SG
     coefficients, detrend factorizations, the marshalled kernel plans —
-    and the calling thread's shared scratch buffers and feature rows,
-    and discards the fused pipeline so its warmup flags are rebuilt.
-    (The compiled .so itself stays on disk: a real service restart
-    reuses it too, so evicting it would overstate the cold cost.)
+    and the authenticator's engine and warmup flags. (The compiled .so
+    itself stays on disk: a real service restart reuses it too, so
+    evicting it would overstate the cold cost.)
     """
     clear_detrend_cache()
     clear_savgol_cache()
@@ -88,46 +82,26 @@ def _reset_cold(auth) -> None:
         rocket = getattr(model, "_rocket", None)
         if rocket is not None:
             rocket._plan = None
-    clear_thread_buffers()
-    auth._hot_pipeline = None
+    auth._pipeline = None
+    auth._warmed_models = None
+    auth._warmed_lengths.clear()
 
 
 def bench_single(auth, probe, repeats: int):
-    """Warm staged vs fused on one probe, interleaved per iteration."""
+    """Warm single-probe latency; every repeat must decide as the first."""
     auth.warmup([probe.recording.n_samples])
-    reference = AuthPipeline(
-        auth.models, config=auth.config, policy=auth.policy,
-        no_pin_mode=auth.no_pin_mode,
-    )
-
-    def staged_run(trial):
-        return reference.run([trial], [True])[0]
-
-    staged_ref = staged_run(probe)
-    fused_ref = auth.authenticate(probe)
-
-    staged_times, fused_times = [], []
-    for i in range(repeats):
-        # Alternate which path goes first so a frequency ramp mid-run
-        # penalises both paths equally.
-        order = (("staged", staged_run), ("fused", auth.authenticate))
-        if i % 2:
-            order = order[::-1]
-        for name, fn in order:
-            start = time.perf_counter()
-            fn(probe)
-            elapsed = time.perf_counter() - start
-            (staged_times if name == "staged" else fused_times).append(elapsed)
-
-    staged = _percentiles(staged_times)
-    fused = _percentiles(fused_times)
+    first = auth.authenticate(probe)
+    times, same = [], True
+    for _ in range(repeats):
+        start = time.perf_counter()
+        decision = auth.authenticate(probe)
+        times.append(time.perf_counter() - start)
+        same = same and decision == first
     return {
         "repeats": repeats,
         "signal_length": probe.recording.n_samples,
-        "staged": staged,
-        "fused": fused,
-        "speedup_fused": staged["p50_ms"] / fused["p50_ms"],
-        "parity_ok": staged_ref == fused_ref,
+        **_percentiles(times),
+        "parity_ok": same,
     }
 
 
@@ -199,10 +173,9 @@ def main(argv=None) -> int:
 
     single = report["single"]
     print(
-        "[single] staged p50 "
-        f"{single['staged']['p50_ms']:.2f} ms | fused p50 "
-        f"{single['fused']['p50_ms']:.2f} ms | speedup "
-        f"{single['speedup_fused']:.2f}x | parity={single['parity_ok']}",
+        f"[single] p50 {single['p50_ms']:.2f} ms | p95 "
+        f"{single['p95_ms']:.2f} ms | p99 {single['p99_ms']:.2f} ms | "
+        f"parity={single['parity_ok']}",
         file=sys.stderr,
     )
     cold = report["cold"]

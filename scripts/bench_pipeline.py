@@ -9,11 +9,13 @@ Two sections:
   - ``reference`` — the pre-optimization path, kept as
     ``repro.core.pipeline._preprocess_trial_reference``: per-channel
     median filtering and a generic sparse-LU detrend solve per channel;
-  - ``banded`` — ``preprocess_trial``: vectorized median filter, one
-    per-trial Savitzky-Golay pass, and the cached banded-Cholesky
-    multi-RHS detrend;
-  - ``batched`` — ``preprocess_trials`` over the whole trial list, so
-    same-shape trials share a single stacked detrend solve.
+  - ``banded`` — ``preprocess_trial`` on each trial: the median
+    selection network over all channels, one per-trial
+    Savitzky-Golay pass, and the cached banded-Cholesky multi-RHS
+    detrend;
+  - ``batched`` — ``preprocess_trials`` over the whole trial list,
+    which maps the same ``preprocess_trial`` over it (the two paths
+    are one function; both stay so the JSON keeps its schema).
 
 - ``evaluate_user`` — one SMOKE-scale victim evaluation, timed with
   negative sharing off (``unshared``), then through a cold feature

@@ -4,12 +4,11 @@ The workflow of Fig. 4, end to end: preprocessing (`pipeline`), input
 case identification (`input_case`), privacy-boost waveform fusion
 (`fusion`), PIN verification (`pin`), enrollment (`enrollment`, a
 façade over the `models` / `negatives` / `enroll` split),
-authentication through the fused engine (`hotpath`), the
-:class:`P2Auth` facade (`authenticator`), the multi-user
-:class:`ModelRegistry` (`registry`), and the attack models
-(`attacks`). The staged engine (`stages`, with its typed `artifacts`)
-is the reference the parity suite holds the fused engine to; no
-request runs it, so its names are not exported here.
+authentication through the staged engine (`stages`, with its typed
+`artifacts`), the :class:`P2Auth` facade (`authenticator`), the
+multi-user :class:`ModelRegistry` (`registry`), and the attack models
+(`attacks`). The stage classes and artifacts are reached through
+:class:`P2Auth` and are not exported here.
 """
 
 from .attacks import EmulatingAttacker, RandomAttacker

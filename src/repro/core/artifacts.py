@@ -1,6 +1,6 @@
-"""Typed artifacts of the Fig. 4 sequence, and the decision both engines return.
+"""Typed artifacts of the Fig. 4 sequence, and the decision they end in.
 
-The data contracts of the staged reference engine::
+The data contracts of the staged engine::
 
     Recording → Repaired → Preprocessed → Segments → Features → Scores
               → AuthDecision
@@ -8,11 +8,9 @@ The data contracts of the staged reference engine::
 Each intermediate artifact is a frozen dataclass produced by one stage
 of :mod:`repro.core.stages` and consumed by the next; the PIN verdict
 and degradation events ride along the chain so the final decision can
-report them. :class:`AuthDecision` is also what the fused
-:class:`~repro.core.hotpath.HotAuthPipeline` returns, and
-:func:`_integrate` (the Section IV-B.3 results integration rule) lives
-with it because it is part of the decision contract, not of any one
-stage.
+report them. :func:`_integrate` (the Section IV-B.3 results
+integration rule) lives with :class:`AuthDecision` because it is part
+of the decision contract, not of any one stage.
 """
 
 from __future__ import annotations

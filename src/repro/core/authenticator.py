@@ -9,20 +9,22 @@ authentication with results integration. A typical session::
     decision = auth.authenticate(probe_trial)
 
 P2Auth holds no pipeline logic of its own: it verifies the PIN and
-hands the probe to a cached fused
-:class:`~repro.core.hotpath.HotAuthPipeline` — the one engine behind
-the registry, the session manager, the streaming front-end, the
-evaluation harness and the HTTP service.
+hands the probe to a cached staged
+:class:`~repro.core.stages.AuthPipeline` — the one engine behind the
+registry, the session manager, the streaming front-end, the evaluation
+harness and the HTTP service.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set
 
 from ..config import PipelineConfig
 from ..errors import EnrollmentError
 from ..features import warm_engine
+from ..signal.detrend import warm_detrend_factor
+from ..signal.filters import warm_savgol
 from ..types import PinEntryTrial
 from .artifacts import AuthDecision
 from .degradation import DegradationPolicy
@@ -32,8 +34,8 @@ from .enrollment import (
     NegativeBank,
     enroll_models,
 )
-from .hotpath import HotAuthPipeline
 from .pin import PinVerifier
+from .stages import AuthPipeline
 
 
 class P2Auth:
@@ -68,11 +70,14 @@ class P2Auth:
         self._options = options if options is not None else EnrollmentOptions()
         self._policy = policy
         # Lazy engine builds are double-checked against this lock; the
-        # unlocked fast-path reads in `hot_pipeline` are the deliberate
-        # (suppressed) half of that pattern.
+        # unlocked fast-path reads in `pipeline` are the deliberate
+        # (suppressed) half of that pattern. `warmup` claims its work
+        # under it too.
         self._engine_lock = threading.Lock()
         self._models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
-        self._hot_pipeline: Optional[HotAuthPipeline] = None  # guarded-by: _engine_lock
+        self._pipeline: Optional[AuthPipeline] = None  # guarded-by: _engine_lock
+        self._warmed_models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
+        self._warmed_lengths: Set[int] = set()  # guarded-by: _engine_lock
         # Move the one-off C-kernel compile/load off the request path:
         # constructing an authenticator is the natural "service starting"
         # moment, authenticate() is not.
@@ -114,10 +119,10 @@ class P2Auth:
         return self._policy
 
     @property
-    def hot_pipeline(self) -> HotAuthPipeline:
-        """The fused engine behind :meth:`authenticate` (raises before
+    def pipeline(self) -> AuthPipeline:
+        """The engine behind :meth:`authenticate` (raises before
         enrollment). Rebuilt automatically when the models change
-        (re-enrollment, archive load)."""
+        (re-enrollment, template load)."""
         # Double-checked lazy build: the unlocked read is safe because
         # assignment publishes a fully constructed pipeline atomically.
         # reprolint: disable-next=RL010 -- deliberate unlocked fast path
@@ -125,39 +130,73 @@ class P2Auth:
         if models is None:
             raise EnrollmentError("enroll a user before authenticating")
         # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        pipeline = self._hot_pipeline
+        pipeline = self._pipeline
         if pipeline is not None and pipeline.models is models:
             return pipeline
         with self._engine_lock:
             models = self._models
             if models is None:  # pragma: no cover - raced with un-enroll
                 raise EnrollmentError("enroll a user before authenticating")
-            if (
-                self._hot_pipeline is None
-                or self._hot_pipeline.models is not models
-            ):
-                self._hot_pipeline = HotAuthPipeline(
+            if self._pipeline is None or self._pipeline.models is not models:
+                self._pipeline = AuthPipeline(
                     models,
                     config=self._config,
                     policy=self._policy,
                     no_pin_mode=self.no_pin_mode,
                 )
-            return self._hot_pipeline
+            return self._pipeline
 
     def warmup(self, signal_lengths: Sequence[int] = ()) -> bool:
         """Pay one-off costs now so the first authenticate call doesn't.
 
-        Delegates to :meth:`HotAuthPipeline.warmup` once a user is
-        enrolled (C-kernel plans, SG coefficients, optional detrend
-        factorizations for the given signal lengths); before enrollment
-        only the feature engine is warmed. Idempotent: a second call
-        with the same arguments does no work and returns False.
+        Before enrollment only the feature engine is warmed. After it,
+        each fitted MiniRocket extractor is planned (``MiniRocket.warm``
+        runs no transform, so an extractor shared by many users costs
+        nothing once planned), the Savitzky-Golay coefficients are
+        primed, and so is the banded-Cholesky detrend factor for each
+        length in ``signal_lengths`` (the factor cache keys on length,
+        which is unknown until a probe arrives). Results are
+        unaffected: a warmed and an unwarmed authenticator return
+        bit-identical decisions.
+
+        Returns:
+            True when any cold work was done; False when everything was
+            already warm — a second call with the same arguments does
+            nothing. A *concurrent* caller may see False while another
+            thread's warm work is still in flight; results are
+            unaffected either way, and the registry publishes instances
+            only after their warmup returned.
         """
         # reprolint: disable-next=RL010 -- lone reference read; enroll publishes atomically
-        if self._models is None:
+        models = self._models
+        if models is None:
             warm_engine()
             return False
-        return self.hot_pipeline.warmup(signal_lengths)
+        # Claim outstanding work under the lock, run it outside: the
+        # underlying warms are idempotent process-wide caches, so a
+        # racing claimer doing duplicate cache fills would be benign —
+        # but holding the lock across a kernel compile (RL012) would
+        # stall every concurrent caller behind one slow build.
+        with self._engine_lock:
+            need_models = self._warmed_models is not models
+            self._warmed_models = models
+            new_lengths = sorted(
+                set(map(int, signal_lengths)) - self._warmed_lengths
+            )
+            self._warmed_lengths.update(new_lengths)
+        if need_models:
+            warm_savgol(self._config.sg_window, self._config.sg_polyorder)
+            for model in (
+                models.full_model,
+                models.fused_model,
+                *models.key_models.values(),
+            ):
+                rocket = getattr(model, "_rocket", None)
+                if rocket is not None and rocket._fitted:
+                    rocket.warm()
+        for length in new_lengths:
+            warm_detrend_factor(length, self._config.detrend_lambda)
+        return need_models or bool(new_lengths)
 
     def enroll(
         self,
@@ -185,7 +224,7 @@ class P2Auth:
         )
         with self._engine_lock:
             self._models = models
-            self._hot_pipeline = None
+            self._pipeline = None
         return self
 
     def _pin_verdict(
@@ -203,14 +242,11 @@ class P2Auth:
     ) -> AuthDecision:
         """Authenticate one PIN-entry trial.
 
-        Runs the fused :class:`~repro.core.hotpath.HotAuthPipeline`: no
-        intermediate stage artifacts, per-thread scratch buffers shared
-        across users, and the pre-marshalled C-kernel call. Decisions
-        and exceptions are bit-identical to the staged reference engine
-        :class:`~repro.core.stages.AuthPipeline` (pinned by
-        ``tests/test_stage_parity.py``). Call :meth:`warmup` first to
-        keep one-off costs out of the request; see
-        ``docs/performance.md`` for the latency budget.
+        Runs the staged :class:`~repro.core.stages.AuthPipeline`
+        (repair, preprocess, segment, featurize, classify, decide) on
+        the probe. Call :meth:`warmup` first to keep one-off costs out
+        of the request; see ``docs/performance.md`` for the latency
+        budget.
 
         Args:
             trial: the probe trial.
@@ -226,4 +262,4 @@ class P2Auth:
                 budget, too few usable channels, failed quality gate).
         """
         pin_ok = self._pin_verdict(trial, claimed_pin)
-        return self.hot_pipeline.authenticate(trial, pin_ok)
+        return self.pipeline.run([trial], [pin_ok])[0]

@@ -39,6 +39,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,7 +131,8 @@ def _decode_blob(
     Raises:
         PersistenceError: on a wrong magic or version, a buffer cut
             short of its prelude, header or any array, or a header that
-            is not valid JSON.
+            is not valid JSON or not a ``{"meta": {...}, "arrays":
+            [...]}`` object of well-formed array entries.
     """
     if bytes(buf[:4]) != magic:
         raise PersistenceError(
@@ -152,19 +154,31 @@ def _decode_blob(
         raise PersistenceError("blob header is not valid JSON") from None
     payload_base = _align8(_PRELUDE_LEN + header_len)
     arrays: Dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = math.prod(entry["shape"])
-        offset = payload_base + int(entry["offset"])
-        if offset + count * dtype.itemsize > size:
-            raise PersistenceError(
-                f"truncated blob: {size} bytes, array {entry['name']!r} "
-                f"ends at {offset + count * dtype.itemsize}"
-            )
-        arrays[entry["name"]] = np.frombuffer(
-            buf, dtype=dtype, count=count, offset=offset
-        ).reshape(entry["shape"])
-    return header["meta"], arrays
+    try:
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is {type(meta).__name__}, not an object")
+        for entry in header["arrays"]:
+            name = entry["name"]
+            if not isinstance(name, str) or not isinstance(entry["dtype"], str):
+                raise TypeError(f"array entry {entry!r} needs string fields")
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(operator.index(dim) for dim in entry["shape"])
+            offset = operator.index(entry["offset"])
+            if offset < 0 or any(dim < 0 for dim in shape):
+                raise ValueError(f"array {name!r} has a negative extent")
+            count = math.prod(shape)
+            end = payload_base + offset + count * dtype.itemsize
+            if end > size:
+                raise PersistenceError(
+                    f"truncated blob: {size} bytes, array {name!r} ends at {end}"
+                )
+            arrays[name] = np.frombuffer(
+                buf, dtype=dtype, count=count, offset=payload_base + offset
+            ).reshape(shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"malformed blob header: {exc!r}") from None
+    return meta, arrays
 
 
 def encode_extractor(rocket: MiniRocket) -> Tuple[str, bytes]:
@@ -393,43 +407,49 @@ def unpack_record(
         resolve_extractor: fingerprint → fitted shared extractor. The
             callable owns caching, so a warm pool makes unpacking a
             user O(per-user vectors) regardless of extractor size.
+
+    Raises:
+        PersistenceError: if the buffer is not a packed record, or its
+            meta or arrays are missing or of the wrong shape.
     """
     meta, arrays = _decode_blob(buf, RECORD_MAGIC)
     if meta.get("format") != "p2auth-packed":
         raise PersistenceError("buffer is not a packed P2Auth record")
+    try:
+        unpacked: Dict[str, WaveformModel] = {}
+        for slot, m in meta["models"].items():
+            model = WaveformModel(
+                feature_method="rocket",
+                num_features=int(m["num_features"]),
+                seed=int(m["seed"]),
+                balanced=bool(m["balanced"]),
+            )
+            model._rocket = resolve_extractor(m["extractor"])
+            scaler = StandardScaler()
+            scaler._mean = arrays[f"{slot}/scaler_mean"]
+            scaler._scale = arrays[f"{slot}/scaler_scale"]
+            clf = RidgeClassifier(alphas=m["alphas"])
+            clf.coef_ = arrays[f"{slot}/coef"]
+            clf.intercept_ = float(m["intercept"])
+            clf.alpha_ = float(m["alpha"])
+            model._scaler = scaler
+            model._classifier = clf
+            model._fitted = True
+            unpacked[slot] = model
 
-    unpacked: Dict[str, WaveformModel] = {}
-    for slot, m in meta["models"].items():
-        model = WaveformModel(
-            feature_method="rocket",
-            num_features=int(m["num_features"]),
-            seed=int(m["seed"]),
-            balanced=bool(m["balanced"]),
+        key_models = {
+            slot[len("key/"):]: model
+            for slot, model in unpacked.items()
+            if slot.startswith("key/")
+        }
+        return restore_authenticator(
+            meta["auth"],
+            unpacked.get("full"),
+            unpacked.get("fused"),
+            key_models,
         )
-        model._rocket = resolve_extractor(m["extractor"])
-        scaler = StandardScaler()
-        scaler._mean = arrays[f"{slot}/scaler_mean"]
-        scaler._scale = arrays[f"{slot}/scaler_scale"]
-        clf = RidgeClassifier(alphas=m["alphas"])
-        clf.coef_ = arrays[f"{slot}/coef"]
-        clf.intercept_ = float(m["intercept"])
-        clf.alpha_ = float(m["alpha"])
-        model._scaler = scaler
-        model._classifier = clf
-        model._fitted = True
-        unpacked[slot] = model
-
-    key_models = {
-        slot[len("key/"):]: model
-        for slot, model in unpacked.items()
-        if slot.startswith("key/")
-    }
-    return restore_authenticator(
-        meta["auth"],
-        unpacked.get("full"),
-        unpacked.get("fused"),
-        key_models,
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"malformed packed record: {exc!r}") from None
 
 
 def unpack_authenticator(packed: PackedAuthenticator) -> P2Auth:

@@ -97,23 +97,6 @@ class PreprocessedTrial:
         )
 
 
-def _validate_probe(trial: PinEntryTrial, config: PipelineConfig) -> None:
-    """The input checks of :func:`preprocess_trial`."""
-    if abs(trial.recording.fs - config.fs) > 1e-9:
-        raise SignalError(
-            f"recording at {trial.recording.fs} Hz but pipeline configured "
-            f"for {config.fs} Hz; use PipelineConfig.scaled_to"
-        )
-    if not bool(np.all(np.isfinite(trial.recording.samples))):
-        # Fail with a typed error instead of a NaN-poisoned crash
-        # deep inside scipy. Known-missing (NaN) samples are the
-        # degradation policy's job, upstream of preprocessing.
-        raise SignalError(
-            "recording contains non-finite samples; repair them first "
-            "(e.g. via a DegradationPolicy with gap repair)"
-        )
-
-
 def preprocess_trial(
     trial: PinEntryTrial, config: Optional[PipelineConfig] = None
 ) -> PreprocessedTrial:
@@ -133,7 +116,19 @@ def preprocess_trial(
     """
     if config is None:
         config = PipelineConfig()
-    _validate_probe(trial, config)
+    if abs(trial.recording.fs - config.fs) > 1e-9:
+        raise SignalError(
+            f"recording at {trial.recording.fs} Hz but pipeline configured "
+            f"for {config.fs} Hz; use PipelineConfig.scaled_to"
+        )
+    if not bool(np.all(np.isfinite(trial.recording.samples))):
+        # Fail with a typed error instead of a NaN-poisoned crash
+        # deep inside scipy. Known-missing (NaN) samples are the
+        # degradation policy's job, upstream of preprocessing.
+        raise SignalError(
+            "recording contains non-finite samples; repair them first "
+            "(e.g. via a DegradationPolicy with gap repair)"
+        )
     filtered = median_filter_multi(trial.recording.samples, config.median_kernel)
 
     # Calibration searches the channel-average of the filtered signal:

@@ -21,15 +21,17 @@ explicit :meth:`SessionManager.unlock` (the deployment's fallback
 authentication path). Degradation-ladder rungs taken by the
 authenticator (gap repair, channel fallback, quality gate — see
 :mod:`repro.core.degradation`) are copied into the session audit log as
-structured :class:`SessionEvent` entries.
+structured :class:`SessionEvent` entries. The log keeps the newest
+:data:`LOG_CAPACITY` events, so a long-lived session stays bounded.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from ..errors import (
     AuthenticationError,
@@ -42,6 +44,9 @@ from ..types import PinEntryTrial, PPGRecording
 from .artifacts import AuthDecision
 from .authenticator import P2Auth
 from .wear import WearStatus, detect_wear
+
+#: Events a session's audit log keeps; older ones are dropped first.
+LOG_CAPACITY = 256
 
 
 class SessionState(enum.Enum):
@@ -169,7 +174,7 @@ class SessionManager:  # concurrency: thread-hostile
         self._wear_threshold = wear_threshold
         self._retry = retry
         self._state = SessionState.OFF_WRIST
-        self._log: List[SessionEvent] = []
+        self._log: Deque[SessionEvent] = deque(maxlen=LOG_CAPACITY)
         self._failures = 0
         self._not_before = 0.0
         self._clock = 0.0
@@ -202,7 +207,7 @@ class SessionManager:  # concurrency: thread-hostile
 
     @property
     def log(self) -> Tuple[SessionEvent, ...]:
-        """The session audit trail, oldest first."""
+        """The newest :data:`LOG_CAPACITY` audit events, oldest first."""
         return tuple(self._log)
 
     def lockout_status(self, now: Optional[float] = None) -> LockoutStatus:

@@ -1,6 +1,6 @@
-"""The staged authentication engine: the parity suite's reference.
+"""The authentication engine: the Fig. 4 sequence as six typed stages.
 
-The Fig. 4 authentication sequence, decomposed into typed stages with
+The authentication sequence, decomposed into typed stages with
 explicit artifacts::
 
     Recording → Repaired → Preprocessed → Segments → Features → Scores
@@ -8,18 +8,19 @@ explicit artifacts::
 
 Every stage is a small object satisfying the :class:`Stage` protocol
 (``run(items) -> outputs``), and :class:`AuthPipeline` composes the
-six. No request runs this engine: every probe runs the fused
-:class:`~repro.core.hotpath.HotAuthPipeline`, and the parity suite
-compares the two decision for decision. This module stays in the
-package because perfbench's traced launcher
-(``perfbench/benchlib/traced_serve.py``) imports it and wraps each
-stage's ``run`` to name its per-stage layers.
+six. It is the one engine that serves decisions:
+:meth:`P2Auth.authenticate <repro.core.authenticator.P2Auth.authenticate>`
+runs it, and through it the registry, session manager, streaming
+front-end, evaluation harness and HTTP service. perfbench's traced
+launcher (``perfbench/benchlib/traced_serve.py``) wraps each stage's
+``run`` to time its per-stage layers.
 
 Each stage wraps the pre-existing functions (``apply_policy``,
 ``preprocess_trials``, segmentation/fusion, ``WaveformModel._featurize``,
 score integration) without reimplementing them, which is what keeps the
-staged path bit-identical to the historical monolithic one (asserted by
-``tests/test_stage_parity.py``).
+engine bit-identical to the historical monolithic one (asserted by
+``tests/test_stage_parity.py``). Stages keep no per-call state, so one
+pipeline serves concurrent calls.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class Stage(Protocol[In, Out]):
     """One step of the authentication pipeline.
 
     A stage maps a batch of input artifacts to a batch of output
-    artifacts, one output per input, in order. Batch signatures are
-    deliberate: stages that can vectorize across trials (preprocessing,
-    classification) do, and per-item stages just loop.
+    artifacts, one output per input, in order; every stage loops over
+    its items.
     """
 
     name: str
@@ -113,7 +113,7 @@ class RepairStage:
 
 
 class PreprocessStage:
-    """``Repaired → Preprocessed``: batched Section IV-A pipeline."""
+    """``Repaired → Preprocessed``: the Section IV-A pipeline."""
 
     name = "preprocess"
 
@@ -354,7 +354,7 @@ class DecideStage:
 
 
 class AuthPipeline:
-    """The six stages composed into the reference authentication path.
+    """The six stages composed into the authentication engine.
 
     Args:
         models: the enrolled user's models.

@@ -19,7 +19,7 @@ detection stages:
 The streaming detector feeds the same downstream machinery: its event
 indices can be used directly as segment centers, and
 :class:`StreamingAuthenticator` hands the assembled entry to
-``P2Auth.authenticate``, the fused engine every probe runs.
+``P2Auth.authenticate``, the engine every probe runs.
 """
 
 from __future__ import annotations

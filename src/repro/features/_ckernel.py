@@ -170,29 +170,21 @@ def prepare(
     )
 
 
-def transform_prepared(
-    plan: TransformPlan, x: np.ndarray, out: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
+def transform_prepared(plan: TransformPlan, x: np.ndarray) -> Optional[np.ndarray]:
     """Run the compiled transform through a prepared plan.
 
     Args:
         plan: result of :func:`prepare`.
         x: C-contiguous float64 input, shape ``(n, channels, length)``.
-        out: optional preallocated C-contiguous float64 output of shape
-            ``(n, plan.n_features_out)``; allocated when omitted.
 
-    Returns ``None`` if the kernel is unavailable or reports failure.
+    Returns the ``(n, plan.n_features_out)`` features, or ``None`` if
+    the kernel is unavailable or reports failure.
     """
     lib = _load()
     if lib is None:
         return None
     n, channels, length = x.shape
-    if out is None:
-        out = np.empty((n, plan.n_features_out))
-    elif out.shape != (n, plan.n_features_out):
-        raise ValueError(
-            f"out has shape {out.shape}, expected {(n, plan.n_features_out)}"
-        )
+    out = np.empty((n, plan.n_features_out))
     status = lib.mr_transform(
         x, n, channels, length, plan.dilations, plan.features_per_dilation,
         plan.n_dilations, plan.flat_biases, out, plan.n_features_out,

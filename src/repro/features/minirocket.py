@@ -501,18 +501,12 @@ class MiniRocket:
             self._c_plan()
         return self
 
-    def transform(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def transform(self, x: np.ndarray) -> np.ndarray:
         """Transform series into PPV features.
 
         Args:
             x: series with the same channel count and length as the
                 training data.
-            out: optional preallocated C-contiguous float64 buffer of
-                shape ``(n, n_features_out)`` to write features into
-                (the hot authentication path reuses one across calls).
-                The returned array is ``out`` when it was used.
 
         Returns:
             Feature matrix of shape ``(n, n_features_out)``.
@@ -521,15 +515,13 @@ class MiniRocket:
         if _resolve_engine(self.engine) == "c":
             plan = self._c_plan()
             if plan is not None:
-                features = _ckernel.transform_prepared(plan, x, out=out)
+                features = _ckernel.transform_prepared(plan, x)
                 if features is not None:
                     return features
             # Compiled path declined the shape; fall through to NumPy.
-        return self._transform_vectorized(x, out=out)
+        return self._transform_vectorized(x)
 
-    def _transform_vectorized(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _transform_vectorized(self, x: np.ndarray) -> np.ndarray:
         """Batched-linear-algebra engine.
 
         Per (channel, instance batch, dilation): one matrix product
@@ -542,12 +534,7 @@ class MiniRocket:
         n, channels, length = x.shape
         n_feature_cols = self.n_features_out
         per_channel = n_feature_cols // channels
-        if out is None:
-            out = np.empty((n, n_feature_cols))
-        elif out.shape != (n, n_feature_cols):
-            raise SignalError(
-                f"out has shape {out.shape}, expected {(n, n_feature_cols)}"
-            )
+        out = np.empty((n, n_feature_cols))
         batch = self.batch_size
 
         for ch in range(channels):

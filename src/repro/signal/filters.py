@@ -70,133 +70,37 @@ def median_filter_multi(samples: np.ndarray, kernel: int = 5) -> np.ndarray:
         raise SignalError(
             f"median_filter_multi expects a 2-D signal, got shape {samples.shape}"
         )
-    if samples.shape[1] == 0:
+    n = samples.shape[1]
+    if n == 0:
         raise SignalError("median_filter_multi received an empty signal")
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigurationError(f"median kernel must be a positive odd int: {kernel}")
-    if kernel == 1 or samples.shape[1] < kernel:
+    if kernel == 1 or n < kernel:
         return samples.copy()
-    if kernel in (3, 5):
-        return median_filter_multi_fast(samples, kernel)
     half = kernel // 2
-    padded = np.pad(samples, ((0, 0), (half, half)), mode="constant")
+    # Zero padding by assignment: np.pad costs more than the network.
+    padded = np.zeros((samples.shape[0], n + 2 * half))
+    padded[:, half : half + n] = samples
+    # Shifted views: row i of tap j holds the window value padded[i, t + j].
+    taps = [padded[:, j : j + n] for j in range(kernel)]
+    if kernel == 3:
+        return _median3(*taps)
+    if kernel == 5:
+        a, b, c, d, e = taps
+        # med5 = med3(max(min(a,b), min(c,d)), min(max(a,b), max(c,d)), e)
+        return _median3(
+            np.maximum(np.minimum(a, b), np.minimum(c, d)),
+            np.minimum(np.maximum(a, b), np.maximum(c, d)),
+            e,
+        )
     windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
     return np.median(windows, axis=-1)
 
 
-def _median3_rows(
-    padded: np.ndarray,
-    n: int,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Rowwise 3-point running median via the min/max exchange network."""
-    a = padded[:, 0:n]
-    b = padded[:, 1 : n + 1]
-    c = padded[:, 2 : n + 2]
-    np.minimum(a, b, out=t0)
-    np.maximum(a, b, out=t1)
-    np.minimum(t1, c, out=t1)
-    return np.maximum(t0, t1, out=out)
-
-
-def _median5_rows(
-    padded: np.ndarray,
-    n: int,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    t2: np.ndarray,
-    t3: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Rowwise 5-point running median via the min/max exchange network.
-
-    ``med5(a..e) = med3(max(min(a,b), min(c,d)), min(max(a,b), max(c,d)), e)``
-    — ten elementwise min/max passes instead of a full ``np.median``
-    sort. Selection networks return one of the input *values*, exactly
-    as a sorting median of five does, so the result is value-identical
-    to ``np.median`` on the same windows.
-    """
-    a = padded[:, 0:n]
-    b = padded[:, 1 : n + 1]
-    c = padded[:, 2 : n + 2]
-    d = padded[:, 3 : n + 3]
-    e = padded[:, 4 : n + 4]
-    np.minimum(a, b, out=t0)
-    np.maximum(a, b, out=t1)
-    np.minimum(c, d, out=t2)
-    np.maximum(c, d, out=t3)
-    np.maximum(t0, t2, out=t0)  # j = max(min(a,b), min(c,d))
-    np.minimum(t1, t3, out=t1)  # k = min(max(a,b), max(c,d))
-    np.minimum(t0, t1, out=t2)
-    np.maximum(t0, t1, out=t3)
-    np.minimum(t3, e, out=t3)
-    return np.maximum(t2, t3, out=out)  # med3(j, k, e)
-
-
-def median_filter_multi_fast(
-    samples: np.ndarray,
-    kernel: int = 5,
-    out: np.ndarray | None = None,
-    work: tuple | None = None,
-) -> np.ndarray:
-    """Value-identical fast path for :func:`median_filter_multi`.
-
-    For the 3- and 5-point kernels the pipeline actually uses, the
-    running median is computed with a fixed min/max selection network
-    over the zero-padded shifted rows instead of sorting every window —
-    ~8x faster at paper shapes. The network selects one of the window
-    values, exactly like the sorting median of an odd-length window, so
-    the output equals :func:`median_filter_multi` elementwise (pinned
-    by ``tests/signal/test_filters.py``). Other kernels delegate to
-    :func:`median_filter_multi` unchanged.
-
-    Args:
-        samples: 2-D ``(channels, n)`` input.
-        kernel: odd window length.
-        out: optional ``(channels, n)`` float64 output buffer.
-        work: optional scratch from :func:`median_filter_workspace`,
-            reused across calls by the hot authentication path.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if (
-        samples.ndim != 2
-        or kernel not in (3, 5)
-        or samples.shape[1] < kernel
-    ):
-        result = median_filter_multi(samples, kernel)
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-    channels, n = samples.shape
-    if work is None:
-        work = median_filter_workspace(channels, n, kernel)
-    padded, *temps = work
-    if out is None:
-        out = np.empty((channels, n))
-    half = kernel // 2
-    padded[:, half : half + n] = samples
-    if kernel == 3:
-        return _median3_rows(padded, n, temps[0], temps[1], out)
-    return _median5_rows(padded, n, *temps, out)
-
-
-def median_filter_workspace(channels: int, n: int, kernel: int = 5) -> tuple:
-    """Preallocated scratch for :func:`median_filter_multi_fast`.
-
-    The first array is the zero-padded row buffer (its pad columns are
-    zeroed once here and never written afterwards); the rest are the
-    elementwise min/max temporaries of the selection network.
-    """
-    if kernel not in (3, 5):
-        raise ConfigurationError(
-            f"median workspace supports kernels 3 and 5, got {kernel}"
-        )
-    padded = np.zeros((channels, n + kernel - 1))
-    n_temps = 2 if kernel == 3 else 4
-    return (padded,) + tuple(np.empty((channels, n)) for _ in range(n_temps))
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise median of three arrays via the min/max exchange
+    network: ``max(min(a, b), min(max(a, b), c))``."""
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
 def savitzky_golay(

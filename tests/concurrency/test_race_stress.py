@@ -7,13 +7,13 @@ decisions (and arrays) a serial run produces. A single flipped score
 bit fails these tests — scores are compared as exact float tuples, and
 cached arrays bitwise.
 
-``test_shared_hot_path_matches_serial`` is the regression test for the
-`HotAuthPipeline` sharing bug: before the scratch buffers moved to
-thread-local storage, two threads authenticating through one shared
-`P2Auth` overwrote each other's preprocessing buffers mid-probe and
-returned corrupted scores. ``test_many_users_share_thread_buffers``
-pins the other half: each thread's buffers are shared by every user's
-pipeline, so a thread serving many users must still match serial.
+``test_shared_hot_path_matches_serial`` drives one shared `P2Auth`
+(one cached engine) from every thread; an engine that kept per-call
+state on the instance would hand one thread's intermediate arrays to
+another and return corrupted scores.
+``test_many_users_share_thread_buffers`` has every thread walk many
+users' authenticators in its own rotation, so each thread interleaves
+users while the others do the same with theirs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core import ModelRegistry, ShardedPackedBackend
-from repro.core.stages import AuthPipeline
 from repro.eval.featurecache import FeatureCache
 
 from .conftest import PIN
@@ -82,19 +81,8 @@ def run_threads(worker: Callable[[int], None], n_threads: int = THREADS) -> List
     return errors
 
 
-def staged_run(auth, trial):
-    """One probe through the staged engine (``authenticate`` is fused)."""
-    pipeline = AuthPipeline(
-        auth.models,
-        config=auth.config,
-        policy=auth.policy,
-        no_pin_mode=auth.no_pin_mode,
-    )
-    return pipeline.run([trial], [True])[0]
-
-
 class TestSharedHotPath:
-    """Concurrent fused ``authenticate`` through shared authenticators."""
+    """Concurrent ``authenticate`` through shared authenticators."""
 
     def test_shared_hot_path_matches_serial(self, shared_auth, probes):
         # Serial baseline first — also primes the lazy pipelines so the
@@ -124,35 +112,17 @@ class TestSharedHotPath:
             + "\n".join(mismatches[:6])
         )
 
-    def test_shared_staged_path_matches_serial(self, shared_auth, probes):
-        # The staged engine allocates per-call, so it was already safe;
-        # keep it pinned that way.
-        baseline = [decision_key(staged_run(shared_auth, t)) for t in probes]
-        mismatches: List[str] = []
-
-        def worker(idx: int) -> None:
-            for trial, expected in zip(probes, baseline):
-                for _ in range(5):
-                    got = decision_key(staged_run(shared_auth, trial))
-                    if got != expected:
-                        mismatches.append(f"thread {idx}: {got!r}")
-
-        errors = run_threads(worker)
-        assert not errors, errors
-        assert not mismatches, mismatches[:5]
-
     def test_many_users_share_thread_buffers(self, user_auths, data):
         # Every thread walks all users' probes in its own rotation, so
-        # each thread's shared scratch and feature rows pass from one
-        # user's pipeline to the next mid-run, while other threads do
-        # the same with theirs.
+        # each thread moves from one user's engine to the next mid-run,
+        # while other threads do the same with theirs.
         work = [
             (uid, trial)
             for uid in sorted(user_auths)
             for trial in data.trials(uid, PIN, "one_handed", 8)[6:]
         ]
         baseline = [
-            decision_key(staged_run(user_auths[uid], trial))
+            decision_key(user_auths[uid].authenticate(trial))
             for uid, trial in work
         ]
         mismatches: List[str] = []

@@ -8,9 +8,9 @@ import typing
 import numpy as np
 import pytest
 
-from repro.core import artifacts, preprocess_trial
+from repro.core import artifacts, preprocess_trial, stages
 from repro.core.artifacts import _integrate
-from repro.core.hotpath import HotAuthPipeline
+from repro.core.stages import AuthPipeline
 from repro.errors import AuthenticationError
 from repro.types import InputCase
 
@@ -78,17 +78,18 @@ class TestAuthenticationFlow:
         pre = dataclasses.replace(
             pre, keystroke_detected=(True, False, False, False)
         )
-        engine = HotAuthPipeline(enrolled_auth.models)
-        monkeypatch.setattr(engine, "_preprocess_fused", lambda _trial: pre)
-        decision = engine.authenticate(trial, pin_ok=True)
+        monkeypatch.setattr(
+            stages, "preprocess_trials", lambda _trials, _config: [pre]
+        )
+        decision = AuthPipeline(enrolled_auth.models).run([trial], [True])[0]
         assert not decision.accepted
         assert decision.input_case is InputCase.REJECT
 
     def test_unknown_key_counts_as_failure(self, enrolled_auth, study_data):
         """A detected keystroke on a never-enrolled key cannot pass."""
         trial = study_data.trials(0, "5094", "one_handed", 1)[0]
-        engine = HotAuthPipeline(enrolled_auth.models, no_pin_mode=True)
-        decision = engine.authenticate(trial, pin_ok=True)
+        engine = AuthPipeline(enrolled_auth.models, no_pin_mode=True)
+        decision = engine.run([trial], [True])[0]
         assert not any(
             passed
             for key, passed in zip(decision.keys_checked, decision.passes)
@@ -98,7 +99,7 @@ class TestAuthenticationFlow:
     def test_missing_pin_ok_outside_no_pin_mode(self, enrolled_auth, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 1)[0]
         with pytest.raises(AuthenticationError):
-            HotAuthPipeline(enrolled_auth.models).authenticate(trial, pin_ok=None)
+            AuthPipeline(enrolled_auth.models).run([trial], [None])
 
     def test_privacy_boost_path(self, enrolled_auth_boost, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 8)[7]

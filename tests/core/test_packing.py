@@ -7,6 +7,8 @@ probe battery (legit / two-handed / attack / wrong-PIN) with score
 drift inside the documented tolerances.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,19 @@ from repro.core import (
     EnrollmentOptions,
     P2Auth,
     build_negative_bank,
+    load_authenticator,
     pack_authenticator,
     unpack_authenticator,
 )
 from repro.core.packing import (
+    _PRELUDE,
+    _PRELUDE_LEN,
     EXTRACTOR_MAGIC,
+    FILE_MAGIC,
+    PACK_VERSION,
     RECORD_MAGIC,
+    _align8,
+    _encode_blob,
     decode_extractor,
     unpack_record,
 )
@@ -214,6 +223,11 @@ class TestFormat:
         with pytest.raises(PersistenceError):
             unpack_record(bytes(record), lambda fp: None)
 
+    def test_meta_without_models_raises_persistence_error(self):
+        record = _encode_blob(RECORD_MAGIC, {"format": "p2auth-packed"}, {})
+        with pytest.raises(PersistenceError, match="models"):
+            unpack_record(record, lambda fp: None)
+
     def test_record_and_extractor_magics_differ(self, enrolled):
         packed = pack_authenticator(enrolled)
         assert packed.record[:4] == RECORD_MAGIC
@@ -222,6 +236,51 @@ class TestFormat:
         # A record is not decodable as an extractor and vice versa.
         with pytest.raises(PersistenceError):
             decode_extractor(packed.record)
+
+
+def _raw_blob(magic: bytes, header) -> bytes:
+    """A blob with a valid prelude around an arbitrary JSON header and
+    no payload."""
+    text = json.dumps(header).encode("utf-8")
+    blob = bytearray(_align8(_PRELUDE_LEN + len(text)))
+    blob[:4] = magic
+    _PRELUDE.pack_into(blob, 4, PACK_VERSION, 0, len(text))
+    blob[_PRELUDE_LEN:_PRELUDE_LEN + len(text)] = text
+    return bytes(blob)
+
+
+#: Valid JSON headers of the wrong shape.
+MALFORMED_HEADERS = {
+    "no_arrays": {"meta": {}},
+    "entry_without_dtype": {"meta": {}, "arrays": [{"name": "record"}]},
+    "not_an_object": [1, 2],
+    "unknown_dtype": {
+        "meta": {},
+        "arrays": [{"name": "record", "dtype": "nope", "shape": [1], "offset": 0}],
+    },
+    "negative_shape": {
+        "meta": {},
+        "arrays": [{"name": "record", "dtype": "|u1", "shape": [-1], "offset": 0}],
+    },
+}
+
+
+class TestMalformedHeader:
+    """A valid prelude around a header of the wrong shape is a corrupt
+    blob: PersistenceError, never KeyError/TypeError/ValueError."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_load_authenticator(self, tmp_path, case):
+        path = tmp_path / "bad.p2a"
+        path.write_bytes(_raw_blob(FILE_MAGIC, MALFORMED_HEADERS[case]))
+        with pytest.raises(PersistenceError, match="malformed blob header"):
+            load_authenticator(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_unpack_record(self, case):
+        record = _raw_blob(RECORD_MAGIC, MALFORMED_HEADERS[case])
+        with pytest.raises(PersistenceError, match="malformed blob header"):
+            unpack_record(record, lambda fp: None)
 
 
 class TestExtractorSharing:

@@ -298,8 +298,15 @@ class TestPlannedLoads:
         )
 
         def rockets(auth):
+            models = auth.models
             return [
-                model._rocket for model in auth.hot_pipeline._iter_models()
+                model._rocket
+                for model in (
+                    models.full_model,
+                    models.fused_model,
+                    *models.key_models.values(),
+                )
+                if model is not None
             ]
 
         per_get = []

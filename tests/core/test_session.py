@@ -99,6 +99,20 @@ class TestLifecycle:
         assert "wear_check" in kinds
         assert "entry" in kinds
 
+    def test_log_keeps_only_the_newest_events(self, session, study_data):
+        # A long-lived session must not grow without bound: the log
+        # keeps the newest 256 events (LOG_CAPACITY), oldest first.
+        session.assume_worn()
+        trial = study_data.trials(0, PIN, "one_handed", 8)[7]
+        for _ in range(299):
+            session.submit_entry(trial, claimed_pin="0000")
+        last = session.submit_entry(trial)
+        log = session.log
+        assert len(log) == 256
+        assert all(event.kind == "entry" for event in log)
+        assert log[-1].detail.endswith(last.reason)
+        assert log[-1].detail != log[-2].detail
+
 
 class TestAssumeWorn:
     def test_off_wrist_transitions_to_worn(self, session):

@@ -232,6 +232,46 @@ class TestErrorMapping:
             svc.close()
 
 
+class TestCorruptRecord:
+    def test_corrupt_stored_record_is_500_persistence_failed(
+        self, service_registry, probes, tmp_path
+    ):
+        # A record with a valid prelude but a header of the wrong shape
+        # is a server-side fault, not an unknown user.
+        from repro.core import ModelRegistry, ShardedPackedBackend
+        from repro.core.packing import _PRELUDE, PACK_VERSION, RECORD_MAGIC
+
+        backend = ShardedPackedBackend(tmp_path)
+        registry = ModelRegistry(backend=backend)
+        registry.add("u0", service_registry.get("u0"))
+        svc = AuthService(registry, retry=None)
+        svc.adopt_user("u0", PIN)
+        header = json.dumps({"meta": {}}).encode()
+        backend._path("u0").write_bytes(
+            RECORD_MAGIC
+            + _PRELUDE.pack(PACK_VERSION, 0, len(header))
+            + header
+        )
+        registry.evict("u0")
+        app = make_app(svc)
+        try:
+            nonce = make_nonce()
+            status, body, _ = post_json(
+                app,
+                "/v1/auth",
+                {
+                    "user_id": "u0",
+                    "nonce": nonce,
+                    "proof": pin_proof(PIN, "u0", nonce),
+                    "trial": encode_trial(probes["legit"][0]),
+                },
+            )
+        finally:
+            svc.close()
+        assert status == 500
+        assert body["error"]["code"] == "persistence_failed"
+
+
 class _FaultyService:
     """Stands in for AuthService; its admin stats fault unexpectedly."""
 

@@ -1,4 +1,4 @@
-"""Parity contract of the fused engine against the staged reference.
+"""Parity contract of the authentication engine against the monolith.
 
 The layered refactor (``repro.core.stages`` / ``registry`` / the split
 enrollment package) is only allowed to *reorganize* the code — not to
@@ -6,10 +6,11 @@ change a single bit of its behavior. This suite pins that contract:
 
 - an inline copy of the pre-refactor monolithic authentication body is
   compared field-for-field (``rtol=0``/``atol=0``) against the staged
-  reference engine (``repro.core.stages.AuthPipeline``) on legitimate,
+  engine (``repro.core.stages.AuthPipeline``) on legitimate,
   attacker, privacy-boost, two-handed, and wrong-PIN probes;
-- ``P2Auth.authenticate``, which runs the fused engine, must equal the
-  staged engine on the same probes, and raise the same errors;
+- ``P2Auth.authenticate``, which serves every decision through that
+  engine, must equal the monolith on the same probes (preprocessed
+  by ``preprocess_trial``), and raise the same errors;
 - a registry-enrolled user must score identically to a directly
   constructed ``P2Auth``;
 - a table-driven experiment sweep row must equal the hand-rolled
@@ -38,7 +39,6 @@ from repro.core.enrollment import (
     extract_fused_waveform,
     extract_segments,
 )
-from repro.core.hotpath import HotAuthPipeline
 from repro.core.stages import AuthPipeline
 from repro.data import StudyData, ThirdPartyStore
 from repro.errors import AuthenticationError
@@ -149,7 +149,7 @@ def _reference_authenticate(models, preprocessed, pin_ok, no_pin_mode=False):
 
 
 def staged_run(auth, trial, pin_ok=True) -> AuthDecision:
-    """One probe through the staged engine: the fused path's reference."""
+    """One probe through a directly built staged engine."""
     pipeline = AuthPipeline(
         auth.models,
         config=auth.config,
@@ -268,8 +268,6 @@ class TestStagedVsReference:
             _reference_authenticate(boosted, pre, True)
         with pytest.raises(AuthenticationError, match="no fused model"):
             AuthPipeline(boosted).run([trial], [True])
-        with pytest.raises(AuthenticationError, match="no fused model"):
-            HotAuthPipeline(boosted).authenticate(trial, True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +397,30 @@ class TestRobustnessParity:
 
 
 # ---------------------------------------------------------------------------
-# 5. Fused hot path vs the staged engine
+# 5. P2Auth.authenticate vs the monolith
 # ---------------------------------------------------------------------------
 
 
-class TestFusedParity:
-    """``authenticate`` (fused) must never differ from the staged run.
+def reference_run(auth, trial, pin_ok=True) -> AuthDecision:
+    """The monolith on ``preprocess_trial`` output: a reference built
+    outside the engine that ``authenticate`` runs."""
+    pre = preprocess_trial(trial, auth.config)
+    return _reference_authenticate(auth.models, pre, pin_ok)
 
-    The fused pipeline skips every intermediate artifact and reuses
-    per-thread scratch buffers, so these tests run the same probes
-    through both engines and compare field-for-field at rtol=0/atol=0.
+
+class TestFusedParity:
+    """``authenticate`` must never differ from the monolith reference.
+
+    Every probe kind runs through ``P2Auth.authenticate`` and through
+    the monolith on independently preprocessed input, compared
+    field-for-field at rtol=0/atol=0.
     """
 
     @pytest.mark.parametrize("kind", ["legit", "two_handed", "attack"])
     def test_all_probe_kinds(self, auth, probes, kind):
         for trial in probes[kind]:
             assert_decisions_identical(
-                auth.authenticate(trial), staged_run(auth, trial)
+                auth.authenticate(trial), reference_run(auth, trial)
             )
 
     @pytest.mark.parametrize("kind", ["legit", "attack"])
@@ -423,31 +428,32 @@ class TestFusedParity:
         for trial in probes[kind]:
             assert_decisions_identical(
                 boost_auth.authenticate(trial),
-                staged_run(boost_auth, trial),
+                reference_run(boost_auth, trial),
             )
 
     def test_wrong_pin_short_circuits(self, auth, probes):
         trial = probes["legit"][0]
         fast = auth.authenticate(trial, claimed_pin="0000")
-        assert_decisions_identical(fast, staged_run(auth, trial, pin_ok=False))
+        assert_decisions_identical(
+            fast, reference_run(auth, trial, pin_ok=False)
+        )
         assert fast.reason == "PIN verification failed"
 
     def test_scratch_reuse_does_not_drift(self, auth, probes):
-        # Repeated fused calls share one scratch allocation; a stale or
-        # partially overwritten buffer would show up as a changed score.
-        staged = [staged_run(auth, t) for t in probes["legit"]]
+        # Repeated calls through one cached engine must keep returning
+        # the reference decision.
+        references = [reference_run(auth, t) for t in probes["legit"]]
         for _ in range(3):
-            for trial, reference in zip(probes["legit"], staged):
+            for trial, reference in zip(probes["legit"], references):
                 assert_decisions_identical(auth.authenticate(trial), reference)
 
     def test_median_kernels_share_one_thread(
         self, enroll_trials, third_party, probes
     ):
-        # The scratch buffers are shared by every pipeline on a thread
-        # and the median workspace's layout depends on the kernel: two
-        # authenticators whose kernels differ, fed each probe (one
+        # The 3- and 5-point median kernels take the selection network:
+        # two authenticators whose kernels differ, fed each probe (one
         # signal shape) in turn, must each still match their own
-        # staged run.
+        # reference.
         from repro.config import PipelineConfig
 
         auths = []
@@ -460,7 +466,7 @@ class TestFusedParity:
             a.enroll(enroll_trials, third_party)
             auths.append(a)
         trials = probes["legit"] + probes["attack"]
-        references = [[staged_run(a, t) for t in trials] for a in auths]
+        references = [[reference_run(a, t) for t in trials] for a in auths]
         assert any(
             x.scores != y.scores for x, y in zip(*references)
         ), "the two kernels never changed a score; the case tests nothing"
@@ -474,7 +480,7 @@ class TestFusedParity:
     def test_post_degradation_repaired_probe(self, data, third_party):
         import dataclasses
 
-        from repro.core import DegradationPolicy
+        from repro.core import DegradationPolicy, apply_policy
 
         enroll = data.trials(0, PIN, "one_handed", 8)[:6]
         a = P2Auth(
@@ -489,9 +495,12 @@ class TestFusedParity:
         damaged = dataclasses.replace(
             probe, recording=probe.recording.with_samples(samples)
         )
-        staged = staged_run(a, damaged)
-        assert staged.degradation, "the repair ladder never ran"
-        assert_decisions_identical(a.authenticate(damaged), staged)
+        repaired, events = apply_policy(damaged, a.config, a.policy)
+        assert events, "the repair ladder never ran"
+        reference = dataclasses.replace(
+            reference_run(a, repaired), degradation=events
+        )
+        assert_decisions_identical(a.authenticate(damaged), reference)
 
 
 class TestWarmup:
