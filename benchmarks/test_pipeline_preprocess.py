@@ -4,8 +4,8 @@ Runs the same harness as ``scripts/bench_pipeline.py`` under
 pytest-benchmark: the pre-optimization reference path against the
 banded/batched pipeline, and a SMOKE victim evaluation with the
 feature cache off/cold/warm. The asserted floors are deliberately far
-below the measured speedups (~7x preprocess, ~3x warm evaluation on an
-idle core) so the test flags genuine regressions, not CI noise.
+below the measured speedups (~18x preprocess, ~3x warm evaluation on
+an idle core) so the test flags genuine regressions, not CI noise.
 """
 
 from __future__ import annotations

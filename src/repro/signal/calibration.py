@@ -230,4 +230,3 @@ def calibrate_trial_indices(
         indices.append(int(cand[int(np.argmax(segment))]))
         pos += cand.size
     return indices
-

@@ -15,11 +15,11 @@ identification depends on.
 The system matrix :math:`A = I + \\lambda^2 D_2^T D_2` is symmetric
 positive-definite and pentadiagonal, so it is solved with a banded
 Cholesky factorization (``scipy.linalg.cholesky_banded``, then the
-LAPACK ``pbtrs`` backsubstitution) in O(n). The factor depends only on ``(n, lam)``
-— not on the data — so it is computed once per signal length and
-regularization value, cached in an LRU, and reused for every channel
-and every trial of that shape. All channels of a trial are solved as
-one multi-RHS backsubstitution.
+LAPACK ``pbtrs`` backsubstitution) in O(n). The factor depends only on
+``(n, lam)`` — not on the data — so it is computed once per signal
+length and regularization value, cached in an LRU, and reused for
+every channel and every trial of that shape. All channels of a trial
+are solved as one multi-RHS backsubstitution.
 
 The previous generic ``scipy.sparse.linalg.spsolve`` implementation is
 kept verbatim as :func:`_estimate_trend_reference`; the parity suite in
@@ -212,4 +212,3 @@ def smoothness_priors_detrend(samples: np.ndarray, lam: float = 50.0) -> np.ndar
             f"detrending needs at least 3 samples, got {samples.shape[-1]}"
         )
     return samples - _solve_trend(samples, lam)
-
