@@ -35,7 +35,9 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
+from benchstats import percentiles  # noqa: E402
 from repro.config import PAPER_PINS  # noqa: E402
 from repro.core import EnrollmentOptions, P2Auth  # noqa: E402
 from repro.data import StudyData, ThirdPartyStore  # noqa: E402
@@ -44,16 +46,6 @@ from repro.signal.detrend import clear_detrend_cache  # noqa: E402
 from repro.signal.filters import clear_savgol_cache  # noqa: E402
 
 PIN = PAPER_PINS[0]
-
-
-def _percentiles(times_s):
-    times_ms = np.asarray(times_s) * 1e3
-    return {
-        "p50_ms": float(np.percentile(times_ms, 50)),
-        "p95_ms": float(np.percentile(times_ms, 95)),
-        "p99_ms": float(np.percentile(times_ms, 99)),
-        "mean_ms": float(np.mean(times_ms)),
-    }
 
 
 def build_world(num_features: int):
@@ -100,7 +92,7 @@ def bench_single(auth, probe, repeats: int):
     return {
         "repeats": repeats,
         "signal_length": probe.recording.n_samples,
-        **_percentiles(times),
+        **percentiles(times),
         "parity_ok": same,
     }
 

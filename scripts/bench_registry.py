@@ -45,7 +45,9 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
+from benchstats import percentiles  # noqa: E402
 from repro.config import PAPER_PINS  # noqa: E402
 from repro.core import (  # noqa: E402
     EnrollmentOptions,
@@ -64,15 +66,6 @@ PIN = PAPER_PINS[0]
 
 #: Zipf exponent for the thrash traffic (web-like popularity skew).
 ZIPF_A = 1.2
-
-
-def _percentiles(times_s):
-    times_ms = np.asarray(times_s) * 1e3
-    return {
-        "p50_ms": float(np.percentile(times_ms, 50)),
-        "p99_ms": float(np.percentile(times_ms, 99)),
-        "mean_ms": float(np.mean(times_ms)),
-    }
 
 
 def build_world(num_features: int):
@@ -217,7 +210,7 @@ def bench_cold_load(templates, n_users: int, n_loads: int, seed: int = 7):
         "n_loads": n_loads,
         "open_ms": open_ms,
         "first_load_ms": first_ms,
-        **_percentiles(times),
+        **percentiles(times, (50, 99)),
     }
 
 

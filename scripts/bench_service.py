@@ -42,7 +42,9 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
+from benchstats import percentiles  # noqa: E402
 from repro.core import ModelRegistry, ShardedPackedBackend  # noqa: E402
 from repro.data import StudyData  # noqa: E402
 from repro.eval import enroll_templates, materialize_population  # noqa: E402
@@ -55,16 +57,6 @@ PIN = "1628"
 
 #: Zipf exponent for user picks (web-like popularity skew).
 ZIPF_A = 1.2
-
-
-def _percentiles(times_s):
-    times_ms = np.asarray(times_s) * 1e3
-    return {
-        "p50_ms": float(np.percentile(times_ms, 50)),
-        "p95_ms": float(np.percentile(times_ms, 95)),
-        "p99_ms": float(np.percentile(times_ms, 99)),
-        "mean_ms": float(np.mean(times_ms)),
-    }
 
 
 def build_world(root, n_users, n_templates, features, n_jobs):
@@ -190,7 +182,7 @@ async def _bench_level(backend, ids, trial_jsons, concurrency, n_requests, capac
                 "auth_per_sec": len(latencies) / wall,
                 "registry_hits": after["hits"] - before["hits"],
                 "registry_misses": after["misses"] - before["misses"],
-                **_percentiles(latencies),
+                **percentiles(latencies),
             }
     finally:
         server.cancel()

@@ -27,8 +27,13 @@ import numpy as np
 
 from . import __version__
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from .config import PipelineConfig
+    from .core import EnrollmentOptions
+    from .data import StudyData
     from .eval.experiments import ExperimentResult
+    from .service import AuthService
+    from .types import PinEntryTrial
 
 
 def _all_runners() -> "Dict[str, Callable[..., ExperimentResult]]":
@@ -273,27 +278,64 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def _gate_passing_trials(
+    data: "StudyData",
+    user: int,
+    pin: str,
+    n_trials: int,
+    config: "PipelineConfig",
+    options: "EnrollmentOptions",
+) -> "List[PinEntryTrial]":
+    """The first ``n_trials`` of ``user``'s one-handed entries of
+    ``pin`` that pass the enrollment quality gate on their own.
 
-    from .core import EnrollmentOptions, ModelRegistry
+    Some synthetic entries fail the gate (weak keystroke artifacts),
+    exactly as real captures would; this emulates the re-prompt by
+    generating extras.
+    """
+    from .core import check_enrollment_quality
+    from .errors import EnrollmentError
+
+    picked = []
+    for index in range(4 * n_trials):
+        trial = data.trials(user, pin, "one_handed", index + 1)[index]
+        try:
+            check_enrollment_quality([trial], config, options)
+        except EnrollmentError:
+            continue
+        picked.append(trial)
+        if len(picked) == n_trials:
+            return picked
+    raise EnrollmentError(
+        f"synthetic user {user} produced only {len(picked)}/"
+        f"{n_trials} gate-passing trials; try another --seed"
+    )
+
+
+def _build_service(args: argparse.Namespace) -> "AuthService":
+    """The service ``serve`` runs: registry, negative bank and users.
+
+    Two simulated donors supply the server-side negative corpus. It is
+    preprocessed and featurized once, into the bank that every
+    enrollment trains against (wire and ``--synthetic`` alike), so
+    enrollments add one record each and no extractor beyond the bank's.
+    """
+    from .config import PipelineConfig
+    from .core import EnrollmentOptions, ModelRegistry, build_negative_bank
+    from .data import StudyData
     from .service import AuthService
-    from .service.http import serve as http_serve
 
     backend = None
     if args.packed:
         from .core.backends import ShardedPackedBackend
 
         backend = ShardedPackedBackend(args.packed)
-    from .config import PipelineConfig
-    from .core import check_enrollment_quality
-    from .data import StudyData
-    from .errors import EnrollmentError
-
+    config = PipelineConfig()
     options = EnrollmentOptions(num_features=args.features)
     registry = ModelRegistry(
         capacity=args.capacity,
         backend=backend,
+        config=config,
         options=options,
     )
 
@@ -301,36 +343,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pin = args.pin
     n_trials = 9
     data = StudyData(n_users=n + 2, seed=args.seed or 0)
-    config = PipelineConfig()
 
-    def usable_trials(user: int) -> list:
-        # Some synthetic entries fail the enrollment quality gate
-        # (weak keystroke artifacts), exactly as real captures
-        # would; emulate the re-prompt by generating extras and
-        # keeping the first n_trials that pass on their own.
-        picked = []
-        for index in range(4 * n_trials):
-            trial = data.trials(user, pin, "one_handed", index + 1)[index]
-            try:
-                check_enrollment_quality([trial], config, options)
-            except EnrollmentError:
-                continue
-            picked.append(trial)
-            if len(picked) == n_trials:
-                return picked
-        raise EnrollmentError(
-            f"synthetic user {user} produced only {len(picked)}/"
-            f"{n_trials} gate-passing trials; try another --seed"
-        )
-
-    # Wire enrollment needs a server-side negatives corpus; the last
-    # two simulated users are donors and are never enrolled themselves.
-    print("generating third-party negative corpus ...", file=sys.stderr)
-    third = [t for v in (n, n + 1) for t in usable_trials(v)]
+    # The last two simulated users are donors, never enrolled themselves.
+    print(
+        f"building the negative bank ({args.features} features) ...",
+        file=sys.stderr,
+    )
+    donors = [
+        t
+        for v in (n, n + 1)
+        for t in _gate_passing_trials(data, v, pin, n_trials, config, options)
+    ]
+    bank = build_negative_bank(donors, config, options)
 
     service = AuthService(
         registry,
-        third_party_trials=third,
+        shared_negatives=bank,
         stripes=args.stripes,
         max_workers=args.workers,
         session_capacity=args.sessions,
@@ -344,17 +372,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         for u in range(n):
             uid = f"u{u:07d}"
-            registry.enroll(uid, pin, usable_trials(u), third)
+            trials = _gate_passing_trials(data, u, pin, n_trials, config, options)
+            registry.enroll(uid, pin, trials, (), shared_negatives=bank)
             service.adopt_user(uid, pin)
     elif args.packed:
         users = registry.list_users()
         print(
-            f"adopting {len(users)} packed users (pin {args.pin!r}) ...",
+            f"adopting {len(users)} packed users (pin {pin!r}) ...",
             file=sys.stderr,
         )
         for uid in users:
-            service.adopt_user(uid, args.pin)
+            service.adopt_user(uid, pin)
+    return service
 
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from .service.http import serve as http_serve
+
+    service = _build_service(args)
     print(f"listening on http://{args.host}:{args.port}", file=sys.stderr)
     try:
         asyncio.run(http_serve(service, args.host, args.port))
@@ -517,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--features",
         type=int,
         default=840,
-        help="MiniRocket feature count for synthetic enrollment",
+        help="MiniRocket feature count of the negative bank built at "
+        "boot and of every enrollment, wire and --synthetic (default: 840)",
     )
     srv.add_argument(
         "--capacity",

@@ -129,6 +129,16 @@ class ModelRegistry:
         return False
 
     @property
+    def config(self) -> PipelineConfig:
+        """The pipeline configuration :meth:`enroll` trains under."""
+        return self._config if self._config is not None else PipelineConfig()
+
+    @property
+    def options(self) -> EnrollmentOptions:
+        """The enrollment options :meth:`enroll` trains under."""
+        return self._options if self._options is not None else EnrollmentOptions()
+
+    @property
     def stats(self) -> Dict[str, int]:
         """Cache counters: ``hits`` / ``misses`` / ``evictions``.
 

@@ -5,6 +5,8 @@ ASGI app, tests, the load harness) talks to. It owns:
 
 - a :class:`~repro.core.registry.ModelRegistry` — the thread-safe
   template store and engine host;
+- the :class:`~repro.core.enrollment.NegativeBank` every wire
+  enrollment trains against, built once before the service starts;
 - one :class:`~repro.core.session.SessionManager` per active user (the
   retry/lockout ladder), in an LRU of bounded size whose evictions
   carry the ladder over via
@@ -39,15 +41,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.enrollment import NegativeBank
+from ..core.enrollment import NegativeBank, _check_bank
 from ..core.registry import ModelRegistry, _check_user_id
 from ..core.session import LockoutStatus, RetryPolicy, SessionManager, SessionState
 from ..errors import (
     ConfigurationError,
+    EnrollmentError,
     ProofError,
     UnknownUserError,
 )
-from ..types import PinEntryTrial
 from .protocol import (
     AuthRequest,
     AuthResponse,
@@ -104,11 +106,13 @@ class AuthService:  # concurrency: thread-hostile
         registry: the template store. May be pre-populated (a packed
             population); users enrolled out-of-band become servable
             through :meth:`adopt_user`.
-        third_party_trials: server-side negative corpus handed to every
-            enrollment (negatives are a deployment asset and never
-            cross the wire).
-        shared_negatives: optional pre-fitted negative bank forwarded
-            to enrollments.
+        shared_negatives: the negative bank every wire enrollment
+            trains against (negatives are a deployment asset and never
+            cross the wire). Build it once, under the registry's
+            pipeline config and enrollment options; a bank built under
+            other settings raises :class:`ConfigurationError` here.
+            Without a bank the service only authenticates:
+            ``enroll_complete`` refuses after the proof check.
         retry: the per-user retry/lockout ladder policy; ``None``
             disables backoff and lockout (unlimited retries).
         stripes: number of per-user lock stripes. Same-stripe users
@@ -126,7 +130,6 @@ class AuthService:  # concurrency: thread-hostile
         self,
         registry: ModelRegistry,
         *,
-        third_party_trials: Sequence[PinEntryTrial] = (),
         shared_negatives: Optional[NegativeBank] = None,
         retry: Optional[RetryPolicy] = RetryPolicy(),
         stripes: int = 64,
@@ -155,8 +158,16 @@ class AuthService:  # concurrency: thread-hostile
             raise ConfigurationError(
                 f"enroll_max_attempts must be >= 1, got {enroll_max_attempts}"
             )
+        if shared_negatives is not None:
+            # Caught here, a mismatch would otherwise answer every
+            # enrollment with a 422 the client cannot act on.
+            try:
+                _check_bank(shared_negatives, registry.config, registry.options)
+            except EnrollmentError as err:
+                raise ConfigurationError(
+                    f"negative bank does not match the registry: {err}"
+                ) from None
         self._registry = registry
-        self._third_party = tuple(third_party_trials)
         self._shared_negatives = shared_negatives
         self._retry = retry
         self._stripe_count = stripes
@@ -282,7 +293,8 @@ class AuthService:  # concurrency: thread-hostile
         The window is single-use: consumed on success, burned after
         ``enroll_max_attempts`` failed proofs, and refused once its
         TTL elapsed. Enrollment (the expensive model training) runs on
-        the thread pool under the user's stripe lock.
+        the thread pool under the user's stripe lock, against the
+        service's negative bank.
         """
         user_id = request.user_id
         _check_user_id(user_id)
@@ -306,17 +318,19 @@ class AuthService:  # concurrency: thread-hostile
                         "PIN proof rejected; enrollment window burned"
                     )
                 raise ProofError("PIN proof rejected")
+            bank = self._shared_negatives
+            if bank is None:
+                raise ConfigurationError(
+                    "wire enrollment is disabled: this service was built "
+                    "without a negative bank"
+                )
 
             pin = window.pin
             trials = [decode_trial(t, pin) for t in request.trials]
 
             def train() -> None:
                 self._registry.enroll(
-                    user_id,
-                    pin,
-                    trials,
-                    self._third_party,
-                    shared_negatives=self._shared_negatives,
+                    user_id, pin, trials, (), shared_negatives=bank
                 )
 
             await self._offload(train)

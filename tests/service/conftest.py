@@ -15,7 +15,8 @@ from typing import Any, AsyncIterator, Optional, Tuple
 
 import pytest
 
-from repro.core import EnrollmentOptions, ModelRegistry
+from repro.config import PipelineConfig
+from repro.core import EnrollmentOptions, ModelRegistry, build_negative_bank
 from repro.data import ThirdPartyStore
 from repro.service import AuthService
 from repro.service.http import serve
@@ -32,6 +33,15 @@ def third_party(study_data):
     """Negative corpus shared by every enrollment in these tests."""
     store = ThirdPartyStore(study_data, [2, 3, 4, 5], PIN)
     return store.sample(24)
+
+
+@pytest.fixture(scope="session")
+def negative_bank(third_party):
+    """The :data:`FEATURES` negative bank built from :func:`third_party`:
+    what ``repro serve`` hands a service for wire enrollments."""
+    return build_negative_bank(
+        third_party, PipelineConfig(), EnrollmentOptions(num_features=FEATURES)
+    )
 
 
 @pytest.fixture(scope="session")

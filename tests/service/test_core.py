@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 import time
 
 import pytest
 
+from repro.config import PipelineConfig
 from repro.core import EnrollmentOptions, ModelRegistry
 from repro.core.artifacts import AuthDecision
 from repro.core.session import RetryPolicy
@@ -62,6 +64,31 @@ class TestConstruction:
     def test_bad_parameters_rejected(self, service_registry, kwargs):
         with pytest.raises(ConfigurationError):
             AuthService(service_registry, **kwargs)
+
+    @pytest.mark.parametrize(
+        "registry_kwargs, bank_changes, field",
+        [
+            (
+                {"options": EnrollmentOptions(num_features=FEATURES)},
+                {"options": EnrollmentOptions(num_features=2 * FEATURES)},
+                "num_features",
+            ),
+            ({}, {}, "num_features"),  # registry on default options
+            (
+                {"options": EnrollmentOptions(num_features=FEATURES)},
+                {"config": PipelineConfig(detrend_lambda=60.0)},
+                "pipeline config",
+            ),
+        ],
+    )
+    def test_mismatched_bank_rejected_at_construction(
+        self, negative_bank, registry_kwargs, bank_changes, field
+    ):
+        # A bank built under other settings would fail every
+        # enrollment with a 422; the service refuses to start instead.
+        bank = dataclasses.replace(negative_bank, **bank_changes)
+        with pytest.raises(ConfigurationError, match=field):
+            AuthService(ModelRegistry(**registry_kwargs), shared_negatives=bank)
 
 
 class TestEnrollmentWindow:
@@ -193,17 +220,22 @@ class TestEnrollmentWindow:
         finally:
             svc.close()
 
-    def test_window_capped_out_while_training(self, one_trial, monkeypatch):
+    def test_window_capped_out_while_training(
+        self, one_trial, negative_bank, monkeypatch
+    ):
         # Training runs off the loop; a begin for another user meanwhile
         # caps this window out. Completing still succeeds and leaves the
         # newer window open.
         monkeypatch.setattr("repro.service.core._MAX_OPEN_WINDOWS", 1)
 
         class _EnrollingRegistry(_StubRegistry):
+            config = negative_bank.config
+            options = negative_bank.options
+
             def enroll(self, user_id, *args, **kwargs):
                 self._auths[user_id] = None
 
-        svc = AuthService(_EnrollingRegistry({}))
+        svc = AuthService(_EnrollingRegistry({}), shared_negatives=negative_bank)
         run_in_pool = svc._offload
 
         async def offload(fn):
@@ -219,11 +251,18 @@ class TestEnrollmentWindow:
         finally:
             svc.close()
 
-    def test_wire_enrollment_end_to_end(self, study_data, third_party, probes):
+    def test_complete_without_bank_refused(self, service, one_trial):
+        # A service built without a negative bank only authenticates.
+        begin = service.enroll_begin("w1")
+        with pytest.raises(ConfigurationError, match="negative bank"):
+            self._complete(service, "w1", begin, one_trial)
+        assert "w1" not in service.registry
+
+    def test_wire_enrollment_end_to_end(self, study_data, negative_bank, probes):
         registry = ModelRegistry(
             options=EnrollmentOptions(num_features=FEATURES)
         )
-        svc = AuthService(registry, third_party_trials=third_party)
+        svc = AuthService(registry, shared_negatives=negative_bank)
         try:
             begin = svc.enroll_begin("alice")
             pin = begin.pin
@@ -240,6 +279,9 @@ class TestEnrollmentWindow:
             resp = asyncio.run(svc.enroll_complete(req))
             assert resp.enrolled and resp.n_trials == 7
             assert "alice" in registry
+            # Trained against the bank: no extractor of alice's own.
+            full = registry.get("alice").models.full_model
+            assert full._rocket is negative_bank.full.extractor
             # The window is consumed: replaying the completion fails.
             with pytest.raises(ProofError, match="no open enrollment window"):
                 asyncio.run(svc.enroll_complete(req))

@@ -329,14 +329,14 @@ class TestWireHygiene:
     """The raw PIN must never appear in any request body."""
 
     def test_full_flow_requests_never_carry_the_pin(
-        self, service_registry, study_data, third_party, probes
+        self, service_registry, study_data, negative_bank, probes
     ):
         from repro.core import EnrollmentOptions, ModelRegistry
 
         registry = ModelRegistry(
             options=EnrollmentOptions(num_features=840)
         )
-        svc = AuthService(registry, third_party_trials=third_party)
+        svc = AuthService(registry, shared_negatives=negative_bank)
         app = make_app(svc)
         captured_requests = []
 
@@ -362,6 +362,8 @@ class TestWireHygiene:
                 },
             )
             assert status == 200 and done["enrolled"]
+            full = registry.get("alice").models.full_model
+            assert full._rocket is negative_bank.full.extractor
             probe = study_data.trials(0, pin, "one_handed", 8)[7]
             nonce = make_nonce()
             status, out, _ = post(

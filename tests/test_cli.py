@@ -125,3 +125,52 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "| fault | intensity |" in out
         assert "gain_drift" in out
+
+
+class TestServeStore:
+    def test_wire_enrollments_grow_the_store_by_records_only(
+        self, tmp_path, study_data
+    ):
+        # `serve` builds its negative bank once; every wire enrollment
+        # then reuses the bank's extractors instead of fitting its own.
+        import asyncio
+
+        from repro.cli import _build_service, _gate_passing_trials
+        from repro.core import ShardedPackedBackend
+        from repro.core.packing import encode_extractor
+        from repro.service import encode_trial, pin_proof
+        from repro.service.protocol import EnrollCompleteRequest
+
+        args = build_parser().parse_args(
+            ["serve", "--packed", str(tmp_path), "--features", "840"]
+        )
+        service = _build_service(args)
+        try:
+            registry = service.registry
+            users = ["w0", "w1", "w2"]
+            for user, uid in enumerate(users):
+                begin = service.enroll_begin(uid)
+                trials = _gate_passing_trials(
+                    study_data, user, begin.pin, 7,
+                    registry.config, registry.options,
+                )
+                done = asyncio.run(
+                    service.enroll_complete(
+                        EnrollCompleteRequest(
+                            user_id=uid,
+                            nonce=begin.nonce,
+                            proof=pin_proof(begin.pin, uid, begin.nonce),
+                            trials=tuple(encode_trial(t) for t in trials),
+                        )
+                    )
+                )
+                assert done.enrolled
+            bank = service._shared_negatives
+        finally:
+            service.close()
+        sets = [bank.full, bank.fused, bank.key_fallback, *bank.key_sets.values()]
+        bank_fps = {encode_extractor(s.extractor)[0] for s in sets if s is not None}
+        assert len(bank_fps) <= 6
+        stored = {p.stem for p in (tmp_path / "extractors").glob("*.p2x")}
+        assert stored and stored <= bank_fps
+        assert sorted(ShardedPackedBackend(tmp_path).user_ids()) == users
