@@ -319,12 +319,18 @@ def _build_service(args: argparse.Namespace) -> "AuthService":
     preprocessed and featurized once, into the bank that every
     enrollment trains against (wire and ``--synthetic`` alike), so
     enrollments add one record each and no extractor beyond the bank's.
+
+    BLAS runs on one thread from here on: the ``--workers`` engine pool
+    is the server's parallelism, and a ridge fit's helper threads would
+    only busy-wait beside it (``repro.blas``).
     """
+    from .blas import set_blas_threads
     from .config import PipelineConfig
     from .core import EnrollmentOptions, ModelRegistry, build_negative_bank
     from .data import StudyData
     from .service import AuthService
 
+    set_blas_threads(1)
     backend = None
     if args.packed:
         from .core.backends import ShardedPackedBackend

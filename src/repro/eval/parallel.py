@@ -16,6 +16,10 @@ keeping three properties the runners rely on:
 - **Explicit opt-in** — the worker count comes from an explicit
   ``n_jobs`` argument (CLI ``--jobs``), then the ``REPRO_N_JOBS``
   environment variable, then defaults to 1.
+
+Each worker process runs BLAS on one thread (:mod:`repro.blas`): the
+workers already fill the cores, and a worker's OpenBLAS helpers would
+only busy-wait beside them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
+from ..blas import set_blas_threads
 from ..errors import ConfigurationError
 
 T = TypeVar("T")
@@ -118,7 +123,11 @@ def parallel_map(
     if n_jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(n_jobs, len(items)),
+            initializer=set_blas_threads,
+            initargs=(1,),
+        ) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
     except _FALLBACK_ERRORS:
         return [fn(item) for item in items]

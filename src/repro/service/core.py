@@ -292,9 +292,11 @@ class AuthService:  # concurrency: thread-hostile
 
         The window is single-use: consumed on success, burned after
         ``enroll_max_attempts`` failed proofs, and refused once its
-        TTL elapsed. Enrollment (the expensive model training) runs on
-        the thread pool under the user's stripe lock, against the
-        service's negative bank.
+        TTL elapsed. Trial decoding and enrollment (the expensive model
+        training) run on the thread pool under the user's stripe lock,
+        against the service's negative bank. A malformed trial raises
+        :class:`~repro.errors.ProtocolError` from there and leaves the
+        window open.
         """
         user_id = request.user_id
         _check_user_id(user_id)
@@ -326,9 +328,10 @@ class AuthService:  # concurrency: thread-hostile
                 )
 
             pin = window.pin
-            trials = [decode_trial(t, pin) for t in request.trials]
+            wire_trials = request.trials
 
             def train() -> None:
+                trials = [decode_trial(t, pin) for t in wire_trials]
                 self._registry.enroll(
                     user_id, pin, trials, (), shared_negatives=bank
                 )
@@ -345,7 +348,7 @@ class AuthService:  # concurrency: thread-hostile
             self._ladders.pop(user_id, None)
             self._counters["enrollments"] += 1
             return EnrollCompleteResponse(
-                user_id=user_id, enrolled=True, n_trials=len(trials)
+                user_id=user_id, enrolled=True, n_trials=len(wire_trials)
             )
 
     def adopt_user(self, user_id: str, pin: str) -> None:

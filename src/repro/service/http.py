@@ -4,7 +4,8 @@
 plain ASGI 3 application — any ASGI server (uvicorn, hypercorn) can
 host it, but none is required: :func:`serve` runs the same app on a
 small ``asyncio.start_server`` HTTP/1.1 loop with keep-alive, which is
-what ``python -m repro serve`` and the load harness use.
+what ``python -m repro serve`` and the load harness use. It closes a
+connection that sends no request line for :data:`IDLE_TIMEOUT_S`.
 
 Routes (all bodies JSON):
 
@@ -58,6 +59,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Header lines one request may carry, the limit ``http.client`` sets
 #: too; with each line capped at 64 KiB this bounds a request head.
 MAX_HEADERS = 100
+
+#: Seconds a connection may wait for its next request line before the
+#: server closes it. Serving a request never counts toward it.
+IDLE_TIMEOUT_S = 60.0
 
 _REASONS = {  # concurrency: immutable-after-init
     200: "OK",
@@ -291,16 +296,67 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise ProtocolError("request or header line too long") from None
 
 
+class _IdleTimer:  # concurrency: thread-hostile
+    """Closes a connection left waiting :data:`IDLE_TIMEOUT_S` for a
+    request line.
+
+    One timer handle per connection: :meth:`arm` and :meth:`disarm` only
+    move the deadline, and a handle that fires early re-arms itself for
+    the moved one, so a busy connection schedules no timer per request.
+    """
+
+    __slots__ = ("_loop", "_transport", "_deadline", "_handle")
+
+    def __init__(self, transport: asyncio.BaseTransport) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._transport = transport
+        self._deadline: Optional[float] = None
+        self._handle: Optional[asyncio.TimerHandle] = None
+
+    def arm(self) -> None:
+        self._deadline = self._loop.time() + IDLE_TIMEOUT_S
+        if self._handle is None:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+
+    def disarm(self) -> None:
+        self._deadline = None
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+
+    def closed(self) -> bool:
+        """Whether the connection was closed under the reader, as the
+        timer closes it (a peer's half-close leaves it open)."""
+        return self._transport.is_closing()
+
+    def _fire(self) -> None:
+        self._handle = None
+        if self._deadline is None:
+            return  # a request is being served; the next arm() restarts
+        if self._loop.time() < self._deadline:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+        else:
+            # The reader then sees EOF and the connection loop returns.
+            self._transport.close()
+
+
 async def _read_request(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, idle: _IdleTimer
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket.
+
+    ``idle`` is armed while the request line is awaited, and only then.
+    """
+    idle.arm()
     try:
         request_line = await _read_line(reader)
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
-    if not request_line:
-        return None
+    finally:
+        idle.disarm()
+    if not request_line or idle.closed():
+        return None  # a line cut short by the idle close is not served
     parts = request_line.decode("latin-1").strip().split(" ")
     if len(parts) != 3:
         raise ProtocolError(f"malformed request line {request_line!r}")
@@ -346,10 +402,11 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    idle = _IdleTimer(writer.transport)
     try:
         while True:
             try:
-                request = await _read_request(reader)
+                request = await _read_request(reader, idle)
             except ProtocolError as err:
                 writer.write(_render_response(_error_result(err), False))
                 await writer.drain()
@@ -368,6 +425,7 @@ async def _handle_connection(
     except (ConnectionResetError, BrokenPipeError):
         return
     finally:
+        idle.cancel()
         writer.close()
         try:
             await writer.wait_closed()
@@ -401,4 +459,4 @@ async def serve(
         await server.serve_forever()
 
 
-__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "make_app", "serve"]
+__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "MAX_HEADERS", "make_app", "serve"]

@@ -65,6 +65,21 @@ def accel_trial(population, synthesizer):
     )
 
 
+@pytest.fixture()
+def restore_blas_threads():
+    """Yields the OpenBLAS thread count and restores it afterwards.
+
+    ``repro serve`` (``cli._build_service``) and the BLAS tests set one
+    thread; later tests and benchmarks run at the default.
+    """
+    from repro.blas import blas_threads, set_blas_threads
+
+    previous = blas_threads()
+    yield previous
+    if previous is not None:
+        set_blas_threads(previous)
+
+
 @pytest.fixture(scope="session")
 def study_data():
     """Small lazily generated study dataset."""

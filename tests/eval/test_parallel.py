@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.blas import blas_threads
 from repro.errors import ConfigurationError
 from repro.eval.parallel import (
     N_JOBS_ENV,
@@ -13,6 +14,10 @@ from repro.eval.parallel import (
 
 def _square(x):
     return x * x
+
+
+def _worker_blas_threads(_):
+    return blas_threads()
 
 
 class TestResolveNJobs:
@@ -87,6 +92,11 @@ class TestParallelMap:
 
     def test_empty(self):
         assert parallel_map(_square, [], n_jobs=4) == []
+
+    @pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS loaded")
+    def test_workers_run_blas_on_one_thread(self):
+        # The workers fill the cores; their BLAS helpers would only spin.
+        assert parallel_map(_worker_blas_threads, [0, 1], n_jobs=2) == [1, 1]
 
     def test_unpicklable_falls_back_to_serial(self):
         """Lambdas cannot cross process boundaries; the pool demotes to

@@ -18,7 +18,9 @@ from repro.errors import (
     ConfigurationError,
     LockoutError,
     ProofError,
+    ProtocolError,
     UnknownUserError,
+    http_status_for,
 )
 from repro.service import AuthService, encode_trial, pin_proof
 from repro.service.protocol import (
@@ -257,6 +259,48 @@ class TestEnrollmentWindow:
         with pytest.raises(ConfigurationError, match="negative bank"):
             self._complete(service, "w1", begin, one_trial)
         assert "w1" not in service.registry
+
+    def test_malformed_trial_keeps_the_window_open(
+        self, study_data, negative_bank
+    ):
+        # Trials decode on the engine pool, after the proof verified: a
+        # malformed one answers 400 protocol_error and burns nothing.
+        registry = ModelRegistry(
+            options=EnrollmentOptions(num_features=FEATURES)
+        )
+        svc = AuthService(registry, shared_negatives=negative_bank)
+        try:
+            begin = svc.enroll_begin("alice")
+            trials = [
+                encode_trial(t)
+                for t in study_data.trials(0, begin.pin, "one_handed", 7)
+            ]
+            broken = dict(trials[3], events=trials[3]["events"][:-1])
+
+            def complete(wire_trials):
+                return asyncio.run(
+                    svc.enroll_complete(
+                        EnrollCompleteRequest(
+                            user_id="alice",
+                            nonce=begin.nonce,
+                            proof=pin_proof(begin.pin, "alice", begin.nonce),
+                            trials=tuple(wire_trials),
+                        )
+                    )
+                )
+
+            with pytest.raises(ProtocolError, match="keystroke events") as err:
+                complete(trials[:3] + [broken] + trials[4:])
+            assert http_status_for(err.type) == 400
+            assert err.value.code == "protocol_error"
+            assert "alice" not in registry
+            window = svc._windows["alice"]
+            assert window.attempts_left == svc._enroll_max_attempts
+            response = complete(trials)
+            assert response.enrolled and response.n_trials == 7
+            assert "alice" in registry and "alice" not in svc._windows
+        finally:
+            svc.close()
 
     def test_wire_enrollment_end_to_end(self, study_data, negative_bank, probes):
         registry = ModelRegistry(

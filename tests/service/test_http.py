@@ -508,3 +508,88 @@ class TestSocketServer:
         got_status, payload = asyncio.run(run())
         assert got_status == status
         assert payload.get("error", {}).get("code") == code
+
+    @staticmethod
+    async def _get(reader, writer, path):
+        """One keep-alive GET on an open connection; (status, body)."""
+        writer.write(f"GET {path} HTTP/1.1\r\nhost: x\r\n\r\n".encode())
+        await writer.drain()
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5)
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in lines[1:] if line)
+        body = await reader.readexactly(int(headers["content-length"]))
+        return int(lines[0].split(" ")[1]), json.loads(body)
+
+    def test_idle_connection_is_closed(self, service, monkeypatch):
+        monkeypatch.setattr("repro.service.http.IDLE_TIMEOUT_S", 0.2)
+
+        async def run():
+            async with live_server(service) as address:
+                reader, writer = await asyncio.open_connection(*address)
+                assert await self._get(reader, writer, "/v1/health") == (
+                    200, {"status": "ok"}
+                )
+                t0 = asyncio.get_running_loop().time()
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                idle_s = asyncio.get_running_loop().time() - t0
+                writer.close()
+                return idle_s
+
+        assert 0.15 <= asyncio.run(run()) < 4.0
+
+    def test_slow_request_outlasts_the_idle_timeout(self, service, monkeypatch):
+        # The timer runs only while a request line is awaited: a request
+        # served for longer than the timeout still gets its response,
+        # and the connection stays open for the next one.
+        monkeypatch.setattr("repro.service.http.IDLE_TIMEOUT_S", 0.2)
+        session_status = service.session_status
+
+        async def slow_session_status(user_id):
+            await asyncio.sleep(0.5)
+            return await session_status(user_id)
+
+        monkeypatch.setattr(service, "session_status", slow_session_status)
+
+        async def run():
+            async with live_server(service) as address:
+                reader, writer = await asyncio.open_connection(*address)
+                try:
+                    first = await self._get(reader, writer, "/v1/session/u0")
+                    second = await self._get(reader, writer, "/v1/health")
+                finally:
+                    writer.close()
+                return first, second
+
+        (status, body), second = asyncio.run(run())
+        assert status == 200 and body["user_id"] == "u0"
+        assert second == (200, {"status": "ok"})
+
+    def test_request_line_cut_off_by_the_idle_close_is_not_served(
+        self, service, monkeypatch
+    ):
+        # The close ends the reader's wait with the partial line; nobody
+        # is left to read a response to it.
+        monkeypatch.setattr("repro.service.http.IDLE_TIMEOUT_S", 0.2)
+        served = []
+        session_status = service.session_status
+
+        async def spy(user_id):
+            served.append(user_id)
+            return await session_status(user_id)
+
+        monkeypatch.setattr(service, "session_status", spy)
+
+        async def run():
+            async with live_server(service) as address:
+                reader, writer = await asyncio.open_connection(*address)
+                writer.write(b"GET /v1/session/u0 HTTP/1.1")  # no line end
+                await writer.drain()
+                try:
+                    reply = await asyncio.wait_for(reader.read(), 5)
+                    await asyncio.sleep(0.1)  # let the server finish up
+                finally:
+                    writer.close()
+                return reply
+
+        assert asyncio.run(run()) == b""
+        assert served == []

@@ -127,7 +127,22 @@ class TestCommands:
         assert "gain_drift" in out
 
 
+@pytest.mark.usefixtures("restore_blas_threads")
 class TestServeStore:
+    def test_serve_runs_blas_on_one_thread(self, tmp_path):
+        # The engine pool is the server's parallelism; no ridge fit
+        # wakes BLAS helper threads beside it.
+        from repro.blas import blas_threads
+        from repro.cli import _build_service
+
+        if blas_threads() is None:
+            pytest.skip("no OpenBLAS build is loaded")
+        args = build_parser().parse_args(
+            ["serve", "--packed", str(tmp_path), "--features", "840"]
+        )
+        _build_service(args).close()
+        assert blas_threads() == 1
+
     def test_wire_enrollments_grow_the_store_by_records_only(
         self, tmp_path, study_data
     ):
