@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.core import WaveformModel, fuse_waveforms, preprocess_trial
-from repro.core.enrollment import extract_segments
+from repro.core import extract_segments
 from repro.data import StudyData, ThirdPartyStore
 from repro.eval.reporting import format_table
 from repro.signal import segment_around, short_time_energy

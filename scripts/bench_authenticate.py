@@ -63,7 +63,7 @@ def _reset_cold(auth) -> None:
 
     Clears every cache :meth:`P2Auth.warmup` would prime — SG
     coefficients, detrend factorizations, the marshalled kernel plans —
-    and the authenticator's engine and warmup flags. (The compiled .so
+    and the authenticator's warmup flags. (The compiled .so
     itself stays on disk: a real service restart reuses it too, so
     evicting it would overstate the cold cost.)
     """
@@ -74,7 +74,6 @@ def _reset_cold(auth) -> None:
         rocket = getattr(model, "_rocket", None)
         if rocket is not None:
             rocket._plan = None
-    auth._pipeline = None
     auth._warmed_models = None
     auth._warmed_lengths.clear()
 

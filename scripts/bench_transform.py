@@ -7,14 +7,15 @@ each available engine:
 
 - ``reference`` — the original per-kernel Python loop, kept as
   ``MiniRocket._transform_reference`` for parity testing;
-- ``vectorized`` — the batched NumPy linear-algebra engine;
-- ``c`` — the compiled kernel (built on demand; skipped when no C
-  compiler is available).
+- ``vectorized`` — the batched NumPy linear-algebra engine, called
+  directly (``MiniRocket._transform_vectorized``);
+- ``c`` — the compiled kernel, which ``MiniRocket.transform`` runs
+  wherever it builds (skipped when no C compiler is available).
 
 The headline ``speedup`` of each case compares the reference loop to
-the *default* path — whatever ``MiniRocket(engine=None).transform``
-selects on this machine (the compiled kernel when it builds, the NumPy
-engine otherwise). Each engine also records whether its output is
+the *default* path — whatever ``MiniRocket.transform`` selects on this
+machine (the compiled kernel when it builds, the NumPy engine
+otherwise). Each engine also records whether its output is
 bit-identical to the reference (``exact``), peak traced allocations
 (tracemalloc), and the process's final ``ru_maxrss``.
 
@@ -87,17 +88,15 @@ def bench_case(name, n, channels, length, num_features, repeats):
     rocket = MiniRocket(num_features=num_features, seed=0)
     _, fit_stats = _time_call(lambda: rocket.fit(x), repeats)
 
-    default_engine = mr._resolve_engine(None)
-    def run_vectorized() -> np.ndarray:
-        return MiniRocket.transform(_fitted_clone(rocket, "vectorized"), x)
-
-    def run_c() -> np.ndarray:
-        return MiniRocket.transform(_fitted_clone(rocket, "c"), x)
-
-    engines = {"reference": lambda: rocket._transform_reference(x)}
-    engines["vectorized"] = run_vectorized
-    if mr.c_kernel_available():
-        engines["c"] = run_c
+    default_engine = mr.warm_engine()
+    engines = {
+        "reference": lambda: rocket._transform_reference(x),
+        "vectorized": lambda: rocket._transform_vectorized(
+            rocket._check_transform_input(x)
+        ),
+    }
+    if default_engine == "c":
+        engines["c"] = lambda: rocket.transform(x)
 
     reference_out = None
     results = {}
@@ -127,21 +126,6 @@ def bench_case(name, n, channels, length, num_features, repeats):
     if "c" in results:
         case["speedup_c"] = ref_best / results["c"]["best_s"]
     return case
-
-
-def _fitted_clone(rocket: MiniRocket, engine: str) -> MiniRocket:
-    """A copy of a fitted MiniRocket pinned to a specific engine."""
-    clone = MiniRocket(
-        num_features=rocket.num_features,
-        max_dilations_per_kernel=rocket.max_dilations_per_kernel,
-        seed=rocket.seed,
-        batch_size=rocket.batch_size,
-        engine=engine,
-    )
-    clone.__dict__.update(
-        {k: v for k, v in rocket.__dict__.items() if k != "engine"}
-    )
-    return clone
 
 
 def main(argv=None) -> int:

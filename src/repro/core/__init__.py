@@ -2,9 +2,9 @@
 
 The workflow of Fig. 4, end to end: preprocessing (`pipeline`), input
 case identification (`input_case`), privacy-boost waveform fusion
-(`fusion`), PIN verification (`pin`), enrollment (`enrollment`, a
-façade over the `models` / `negatives` / `enroll` split),
-authentication through the staged engine (`stages`, with its typed
+(`fusion`), PIN verification (`pin`), enrollment (waveform models in
+`models`, the shared third-party bank in `negatives`, training in
+`enroll`), authentication through the staged engine (`stages`, with its typed
 `artifacts`), the :class:`P2Auth` facade (`authenticator`), the
 multi-user :class:`ModelRegistry` (`registry`), and the attack models
 (`attacks`). The stage classes and artifacts are reached through
@@ -43,19 +43,16 @@ from .streaming import (
     StreamingKeystrokeDetector,
 )
 from .wear import WearStatus, detect_wear
-from .enrollment import (
+from .enroll import check_enrollment_quality, enroll_models
+from .models import (
     EnrolledModels,
     EnrollmentOptions,
-    NegativeBank,
-    SharedNegativeSet,
     WaveformModel,
-    build_negative_bank,
-    check_enrollment_quality,
-    enroll_models,
     extract_full_waveform,
     extract_fused_waveform,
     extract_segments,
 )
+from .negatives import NegativeBank, SharedNegativeSet, build_negative_bank
 from .fusion import fuse_waveforms
 from .input_case import identify_input_case
 from .pin import PinVerifier

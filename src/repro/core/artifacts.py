@@ -1,16 +1,11 @@
 """Typed artifacts of the Fig. 4 sequence, and the decision they end in.
 
-The data contracts of the staged engine::
-
-    Recording → Repaired → Preprocessed → Segments → Features → Scores
-              → AuthDecision
-
-Each intermediate artifact is a frozen dataclass produced by one stage
-of :mod:`repro.core.stages` and consumed by the next; the PIN verdict
-and degradation events ride along the chain so the final decision can
-report them. :func:`_integrate` (the Section IV-B.3 results
-integration rule) lives with :class:`AuthDecision` because it is part
-of the decision contract, not of any one stage.
+The staged engine (:mod:`repro.core.stages`) passes these between its
+stages: :class:`Segments` (the routed probe), :class:`FeatureBlock`
+(one classifier input) and :class:`Scores` (the classifier verdicts).
+It returns an :class:`AuthDecision`. :func:`_integrate` (the Section
+IV-B.3 results integration rule) lives with :class:`AuthDecision`
+because it is part of the decision contract, not of any one stage.
 """
 
 from __future__ import annotations
@@ -24,44 +19,7 @@ from ..types import InputCase, SegmentedKeystroke
 from .degradation import DegradationEvent
 
 if TYPE_CHECKING:
-    from ..types import PinEntryTrial
     from .models import WaveformModel
-    from .pipeline import PreprocessedTrial
-
-
-@dataclass(frozen=True)
-class Recording:
-    """A raw probe entering the pipeline, with its PIN verdict.
-
-    ``pin_ok`` is ``None`` in NO-PIN mode; wrong-PIN probes are decided
-    before this artifact is ever built (no signal processing runs on a
-    wrong PIN).
-    """
-
-    trial: PinEntryTrial
-    pin_ok: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class Repaired:
-    """A probe after the graceful-degradation ladder.
-
-    With no policy configured the trial passes through untouched and
-    ``degradation`` is empty — the pre-policy behaviour.
-    """
-
-    trial: PinEntryTrial
-    pin_ok: Optional[bool] = None
-    degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class Preprocessed:
-    """A probe after the Section IV-A preprocessing phase."""
-
-    trial: PreprocessedTrial
-    pin_ok: Optional[bool] = None
-    degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
@@ -84,8 +42,6 @@ class Segments:
     segments: Tuple[SegmentedKeystroke, ...] = field(default_factory=tuple)
     waveform: Optional[np.ndarray] = None
     label: str = ""
-    pin_ok: Optional[bool] = None
-    degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
@@ -103,31 +59,15 @@ class FeatureBlock:
 
 
 @dataclass(frozen=True)
-class Features:
-    """A probe with every model input featurized."""
-
-    case: InputCase
-    route: str
-    detected: int
-    blocks: Tuple[FeatureBlock, ...] = field(default_factory=tuple)
-    label: str = ""
-    pin_ok: Optional[bool] = None
-    degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
 class Scores:
-    """Classifier verdicts, ready for results integration."""
+    """Classifier verdicts, one per :class:`FeatureBlock`, in order.
 
-    case: InputCase
-    route: str
-    detected: int
-    keys: Tuple[str, ...] = field(default_factory=tuple)
-    scores: Tuple[float, ...] = field(default_factory=tuple)
-    passes: Tuple[bool, ...] = field(default_factory=tuple)
-    label: str = ""
-    pin_ok: Optional[bool] = None
-    degradation: Tuple[DegradationEvent, ...] = field(default_factory=tuple)
+    ``keys`` names the keystroke blocks; a whole-entry block has none.
+    """
+
+    keys: Tuple[str, ...]
+    scores: Tuple[float, ...]
+    passes: Tuple[bool, ...]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ authentication with results integration. A typical session::
     decision = auth.authenticate(probe_trial)
 
 P2Auth holds no pipeline logic of its own: it verifies the PIN and
-hands the probe to a cached staged
-:class:`~repro.core.stages.AuthPipeline` — the one engine behind the
-registry, the session manager, the streaming front-end, the evaluation
-harness and the HTTP service.
+hands the probe to the staged :class:`~repro.core.stages.AuthPipeline`
+it built at enrollment — the one engine behind the registry, the
+session manager, the streaming front-end, the evaluation harness and
+the HTTP service.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from ..signal.filters import warm_savgol
 from ..types import PinEntryTrial
 from .artifacts import AuthDecision
 from .degradation import DegradationPolicy
-from .enrollment import (
-    EnrolledModels,
-    EnrollmentOptions,
-    NegativeBank,
-    enroll_models,
-)
+from .enroll import enroll_models
+from .models import EnrolledModels, EnrollmentOptions
+from .negatives import NegativeBank
 from .pin import PinVerifier
 from .stages import AuthPipeline
 
@@ -69,13 +66,11 @@ class P2Auth:
         )
         self._options = options if options is not None else EnrollmentOptions()
         self._policy = policy
-        # Lazy engine builds are double-checked against this lock; the
-        # unlocked fast-path reads in `pipeline` are the deliberate
-        # (suppressed) half of that pattern. `warmup` claims its work
-        # under it too.
+        # `_install` publishes the engine under this lock; readers take
+        # the one reference unlocked. `warmup` claims its work under it
+        # too.
         self._engine_lock = threading.Lock()
-        self._models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
-        self._pipeline: Optional[AuthPipeline] = None  # guarded-by: _engine_lock
+        self._engine: Optional[AuthPipeline] = None  # guarded-by: _engine_lock
         self._warmed_models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
         self._warmed_lengths: Set[int] = set()  # guarded-by: _engine_lock
         # Move the one-off C-kernel compile/load off the request path:
@@ -91,17 +86,13 @@ class P2Auth:
     @property
     def enrolled(self) -> bool:
         """Whether :meth:`enroll` has completed."""
-        # reprolint: disable-next=RL010 -- lone reference read; enroll publishes atomically
-        return self._models is not None
+        # reprolint: disable-next=RL010 -- lone reference read; _install publishes atomically
+        return self._engine is not None
 
     @property
     def models(self) -> EnrolledModels:
         """The trained models (raises before enrollment)."""
-        # reprolint: disable-next=RL010 -- lone reference read; enroll publishes atomically
-        models = self._models
-        if models is None:
-            raise EnrollmentError("no user is enrolled")
-        return models
+        return self.pipeline.models
 
     @property
     def config(self) -> PipelineConfig:
@@ -121,30 +112,27 @@ class P2Auth:
     @property
     def pipeline(self) -> AuthPipeline:
         """The engine behind :meth:`authenticate` (raises before
-        enrollment). Rebuilt automatically when the models change
-        (re-enrollment, template load)."""
-        # Double-checked lazy build: the unlocked read is safe because
-        # assignment publishes a fully constructed pipeline atomically.
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        models = self._models
-        if models is None:
-            raise EnrollmentError("enroll a user before authenticating")
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        pipeline = self._pipeline
-        if pipeline is not None and pipeline.models is models:
-            return pipeline
+        enrollment)."""
+        # reprolint: disable-next=RL010 -- lone reference read; _install publishes atomically
+        engine = self._engine
+        if engine is None:
+            raise EnrollmentError("no user is enrolled")
+        return engine
+
+    def _install(self, models: EnrolledModels) -> None:
+        """Build the engine for ``models`` and publish it.
+
+        Call it once the PIN verifier is final: the engine reads
+        :attr:`no_pin_mode` when it is built.
+        """
+        engine = AuthPipeline(
+            models,
+            config=self._config,
+            policy=self._policy,
+            no_pin_mode=self.no_pin_mode,
+        )
         with self._engine_lock:
-            models = self._models
-            if models is None:  # pragma: no cover - raced with un-enroll
-                raise EnrollmentError("enroll a user before authenticating")
-            if self._pipeline is None or self._pipeline.models is not models:
-                self._pipeline = AuthPipeline(
-                    models,
-                    config=self._config,
-                    policy=self._policy,
-                    no_pin_mode=self.no_pin_mode,
-                )
-            return self._pipeline
+            self._engine = engine
 
     def warmup(self, signal_lengths: Sequence[int] = ()) -> bool:
         """Pay one-off costs now so the first authenticate call doesn't.
@@ -167,11 +155,12 @@ class P2Auth:
             unaffected either way, and the registry publishes instances
             only after their warmup returned.
         """
-        # reprolint: disable-next=RL010 -- lone reference read; enroll publishes atomically
-        models = self._models
-        if models is None:
+        # reprolint: disable-next=RL010 -- lone reference read; _install publishes atomically
+        engine = self._engine
+        if engine is None:
             warm_engine()
             return False
+        models = engine.models
         # Claim outstanding work under the lock, run it outside: the
         # underlying warms are idempotent process-wide caches, so a
         # racing claimer doing duplicate cache fills would be benign —
@@ -212,19 +201,18 @@ class P2Auth:
                 stored on the device (paper default: 100). Ignored when
                 ``shared_negatives`` is given.
             shared_negatives: a pre-built
-                :class:`~repro.core.enrollment.NegativeBank`; skips the
+                :class:`~repro.core.negatives.NegativeBank`; skips the
                 store-side preprocessing and feature extraction.
         """
-        models = enroll_models(
-            legit_trials,
-            third_party_trials,
-            self._config,
-            self._options,
-            shared_negatives=shared_negatives,
+        self._install(
+            enroll_models(
+                legit_trials,
+                third_party_trials,
+                self._config,
+                self._options,
+                shared_negatives=shared_negatives,
+            )
         )
-        with self._engine_lock:
-            self._models = models
-            self._pipeline = None
         return self
 
     def _pin_verdict(
@@ -262,4 +250,4 @@ class P2Auth:
                 budget, too few usable channels, failed quality gate).
         """
         pin_ok = self._pin_verdict(trial, claimed_pin)
-        return self.pipeline.run([trial], [pin_ok])[0]
+        return self.pipeline.run(trial, pin_ok)

@@ -5,10 +5,6 @@ store into the binary classifiers of Section IV-B.2: a *full waveform*
 model for one-handed entries, an optional *fused waveform* model when
 the privacy boost is enabled (Eq. 4), and one *single waveform* model
 per key for the two-handed and NO-PIN cases.
-
-Import from :mod:`repro.core.enrollment` (the façade) or
-:mod:`repro.core` — the split submodules are an implementation detail
-(enforced by reprolint rule RL007).
 """
 
 from __future__ import annotations

@@ -7,10 +7,6 @@ binary classifier) together with the :class:`EnrolledModels` bundle a
 finished enrollment produces. Orchestration (quality gates, the
 per-key training loop) lives in :mod:`repro.core.enroll`; shared
 negative banks live in :mod:`repro.core.negatives`.
-
-Import from :mod:`repro.core.enrollment` (the façade) or
-:mod:`repro.core` — the split submodules are an implementation detail
-(enforced by reprolint rule RL007).
 """
 
 from __future__ import annotations

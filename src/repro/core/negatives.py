@@ -5,10 +5,6 @@ the store-side preprocessing or feature extraction when the negatives
 are packaged as a :class:`NegativeBank` — the extractors are fitted on
 the negatives alone (``SHAREABLE_FEATURE_METHODS``), so the bank is
 independent of any particular enrolling user.
-
-Import from :mod:`repro.core.enrollment` (the façade) or
-:mod:`repro.core` — the split submodules are an implementation detail
-(enforced by reprolint rule RL007).
 """
 
 from __future__ import annotations

@@ -290,13 +290,16 @@ def restore_authenticator(
     auth._pin._digest = (
         bytes.fromhex(meta["pin_digest"]) if meta["pin_digest"] else None
     )
-    auth._models = EnrolledModels(
-        full_model=full_model,
-        fused_model=fused_model,
-        key_models=key_models,
-        options=options,
-        config=config,
-        keys_enrolled=tuple(sorted(key_models)),
+    # After the digest: the engine reads no_pin_mode when it is built.
+    auth._install(
+        EnrolledModels(
+            full_model=full_model,
+            fused_model=fused_model,
+            key_models=key_models,
+            options=options,
+            config=config,
+            keys_enrolled=tuple(sorted(key_models)),
+        )
     )
     return auth
 

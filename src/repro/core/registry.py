@@ -25,7 +25,8 @@ from ..types import PinEntryTrial
 from .artifacts import AuthDecision
 from .authenticator import P2Auth
 from .degradation import DegradationPolicy
-from .enrollment import EnrollmentOptions, NegativeBank
+from .models import EnrollmentOptions
+from .negatives import NegativeBank
 
 _USER_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 

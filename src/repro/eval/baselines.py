@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.enrollment import WaveformModel
+from ..core.models import WaveformModel
 from ..errors import EnrollmentError, NotFittedError
 from ..features import ManualFeatureExtractor
 from ..types import PinEntryTrial

@@ -45,8 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import PAPER_PINS, PipelineConfig
-from ..core import EnrollmentOptions, P2Auth, preprocess_trial
-from ..core.enrollment import extract_full_waveform
+from ..core import EnrollmentOptions, P2Auth, extract_full_waveform, preprocess_trial
 from ..data import StudyData, ThirdPartyStore, enroll_test_split
 from ..errors import ConfigurationError
 from ..ml import KNNClassifier, ResNet1DClassifier, RidgeClassifier, RNNFNNClassifier

@@ -21,8 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import PAPER_PINS, PipelineConfig
-from ..core import P2Auth, EnrollmentOptions, preprocess_trial
-from ..core.enrollment import extract_full_waveform, WaveformModel
+from ..core import (
+    EnrollmentOptions,
+    P2Auth,
+    WaveformModel,
+    extract_full_waveform,
+    preprocess_trial,
+)
 from ..data import StudyData, ThirdPartyStore
 from .experiments import DEFAULT, ExperimentResult, ExperimentScale, _study
 from .metrics import equal_error_rate

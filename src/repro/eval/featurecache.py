@@ -11,7 +11,7 @@ options)`` combination and every later victim gets the cached result:
   :func:`repro.core.pipeline.preprocess_trials`, keyed per trial on the
   raw samples, events, and pipeline config.
 * :meth:`FeatureCache.negative_bank` — a cached front-end for
-  :func:`repro.core.enrollment.build_negative_bank`, keyed on the whole
+  :func:`repro.core.negatives.build_negative_bank`, keyed on the whole
   store's content plus the feature-relevant enrollment options.
 
 Keys are BLAKE2b digests of the actual trial *content* (sample bytes,
@@ -39,11 +39,8 @@ import numpy as np
 
 from ..concurrency import checked_rlock
 from ..config import PipelineConfig
-from ..core.enrollment import (
-    EnrollmentOptions,
-    NegativeBank,
-    build_negative_bank,
-)
+from ..core.models import EnrollmentOptions
+from ..core.negatives import NegativeBank, build_negative_bank
 from ..core.pipeline import PreprocessedTrial, preprocess_trials
 from ..types import PinEntryTrial
 

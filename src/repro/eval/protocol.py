@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import PAPER_PINS, PipelineConfig
 from ..core import EnrollmentOptions, P2Auth
-from ..core.enrollment import SHAREABLE_FEATURE_METHODS
+from ..core.models import SHAREABLE_FEATURE_METHODS
 from ..data import StudyData, ThirdPartyStore, enroll_test_split
 from ..errors import ConfigurationError
 from ..ml import RidgeClassifier

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import PAPER_PINS
 from ..core import DegradationPolicy, EnrollmentOptions, P2Auth
-from ..core.enrollment import SHAREABLE_FEATURE_METHODS
+from ..core.models import SHAREABLE_FEATURE_METHODS
 from ..data import StudyData, ThirdPartyStore, enroll_test_split
 from ..errors import ConfigurationError, P2AuthError, QualityError
 from ..faults import (

@@ -104,8 +104,8 @@ def _load() -> Optional[ctypes.CDLL]:
             ]
             _lib = lib
         # Intended silent fallback: any build/load failure demotes to the
-        # pure-NumPy engine; minirocket._resolve_engine reports availability
-        # so the demotion stays visible to callers that ask.
+        # pure-NumPy engine; minirocket.warm_engine reports which engine
+        # serves, so the demotion stays visible to callers that ask.
         # reprolint: disable-next=RL006 -- fallback to NumPy engine is the contract
         except Exception:
             _failed = True

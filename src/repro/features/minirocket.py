@@ -34,30 +34,26 @@ blocks are concatenated, which keeps channel-count comparisons
 Engines
 -------
 
-``transform`` dispatches between two interchangeable engines that
-produce bit-identical features (see ``docs/performance.md``):
+``transform`` runs one of two engines that produce bit-identical
+features (see ``docs/performance.md``), picked by what the host has:
 
 - ``"c"`` — a small compiled kernel (built on demand with the system C
   compiler) that fuses convolution, thresholding, and pooling in cache;
-  the fastest path and the default where a compiler is available.
+  it serves every transform wherever the kernel builds and loads.
 - ``"vectorized"`` — batched linear algebra in NumPy: all 84 kernel
   convolutions of a dilation come from one matrix product of the
   module-level :data:`KERNEL_WEIGHTS` with the shifted stack, and the
   PPV pooling is broadcast across the whole (kernel, feature) grid.
-  Instance batching (``batch_size``) bounds peak memory. It is the
-  one fallback when no C compiler is available.
+  Instances go through in batches of :data:`BATCH_SIZE`, which bounds
+  peak memory. It is the path on a host without a C compiler.
 
-The engine is chosen per instance (``engine=`` constructor argument) or
-globally via the ``REPRO_MINIROCKET_ENGINE`` environment variable
-(``auto``, ``c``, or ``vectorized``). The original per-kernel Python
-loop is no engine: it is kept verbatim as
-:meth:`MiniRocket._transform_reference`, the oracle both engines are
+The original per-kernel Python loop is no engine: it is kept verbatim
+as :meth:`MiniRocket._transform_reference`, the oracle both engines are
 tested bit-identical against.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -102,9 +98,10 @@ for _tap in (_TAP_A, _TAP_B, _TAP_C):
     _tap.setflags(write=False)
 del _tap
 
-#: Engine names accepted by ``MiniRocket(engine=...)`` and the
-#: ``REPRO_MINIROCKET_ENGINE`` environment variable.
-ENGINES = ("auto", "c", "vectorized")
+#: Instances per NumPy-engine batch; caps the size of the intermediate
+#: convolution/comparison buffers so peak memory stays bounded on large
+#: inputs.
+BATCH_SIZE = 256
 
 
 def _golden_quantiles(n: int) -> np.ndarray:
@@ -169,29 +166,6 @@ def _shifted_stack(x: np.ndarray, dilation: int) -> np.ndarray:
     return stack
 
 
-def _resolve_engine(name: Optional[str]) -> str:
-    """Map a requested engine name to a concrete engine.
-
-    ``None`` defers to the ``REPRO_MINIROCKET_ENGINE`` environment
-    variable; ``auto`` (the default) picks the compiled kernel when it
-    is available and the NumPy engine otherwise.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_MINIROCKET_ENGINE", "auto").lower() or "auto"
-    if name not in ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {name!r}"
-        )
-    if name == "auto":
-        return "c" if _ckernel.available() else "vectorized"
-    if name == "c" and not _ckernel.available():
-        raise ConfigurationError(
-            "the compiled MiniRocket kernel is unavailable "
-            "(no working C compiler); use engine='vectorized'"
-        )
-    return name
-
-
 def c_kernel_available() -> bool:
     """True when the compiled MiniRocket kernel can be built and loaded.
 
@@ -202,29 +176,20 @@ def c_kernel_available() -> bool:
     return _ckernel.available()
 
 
-def warm_engine(engine: Optional[str] = None) -> str:
-    """Resolve the feature engine, paying the one-off compile cost now.
+def warm_engine() -> str:
+    """Pay the one-off compile cost now; name the engine that will serve.
 
-    Resolving ``"auto"`` (or an explicit ``"c"``) probes kernel
-    availability, which builds and loads the shared library on first
-    call — the dominant first-request cost (~hundreds of ms) when it
-    happens inside ``authenticate``. Call this at process start, from
+    Probing kernel availability builds and loads the shared library on
+    first call — the dominant first-request cost (~hundreds of ms) when
+    it happens inside ``authenticate``. Call this at process start, from
     ``P2Auth.__init__``, or via ``warmup()`` to move it off the request
     path.
 
-    Unlike :func:`_resolve_engine` this never raises for a missing
-    compiler: an unavailable compiled kernel demotes to
-    ``"vectorized"``, matching what ``transform`` would actually run.
-
     Returns:
-        The concrete engine name that will serve transforms.
+        ``"c"`` when the compiled kernel loaded, ``"vectorized"``
+        otherwise.
     """
-    try:
-        return _resolve_engine(engine)
-    except ConfigurationError:
-        if engine in (None, "auto", "c"):
-            return "vectorized"
-        raise
+    return "c" if _ckernel.available() else "vectorized"
 
 
 class MiniRocket:
@@ -237,11 +202,6 @@ class MiniRocket:
             of 84 per channel and never below 84.
         max_dilations_per_kernel: cap on distinct dilations per kernel.
         seed: seed for the training-example choice used to set biases.
-        batch_size: instances transformed per NumPy-engine batch; caps
-            the size of the intermediate convolution/comparison buffers
-            so peak memory stays bounded on large inputs.
-        engine: feature engine ("auto", "c", "vectorized"); ``None``
-            defers to ``REPRO_MINIROCKET_ENGINE`` and then to "auto".
 
     Usage::
 
@@ -255,8 +215,6 @@ class MiniRocket:
         num_features: int = 9996,
         max_dilations_per_kernel: int = 32,
         seed: int = 0,
-        batch_size: int = 256,
-        engine: Optional[str] = None,
     ) -> None:
         if num_features < NUM_KERNELS:
             raise ConfigurationError(
@@ -264,17 +222,9 @@ class MiniRocket:
             )
         if max_dilations_per_kernel < 1:
             raise ConfigurationError("max_dilations_per_kernel must be >= 1")
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if engine is not None and engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         self.num_features = num_features
         self.max_dilations_per_kernel = max_dilations_per_kernel
         self.seed = seed
-        self.batch_size = batch_size
-        self.engine = engine
         self._fitted = False
         self._n_channels: Optional[int] = None
         self._input_length: Optional[int] = None
@@ -488,17 +438,15 @@ class MiniRocket:
     def warm(self) -> "MiniRocket":
         """Pay the one-off transform costs ahead of the first real call.
 
-        Resolves the engine (building and loading the C kernel if
-        needed) and, on the C engine, marshals the prepared argument
-        plan — the only state a transform builds lazily. Runs no
-        transform. Results are unaffected — warming is observable only
+        Builds and loads the C kernel if needed and, where it loads,
+        marshals the prepared argument plan — the only state a transform
+        builds lazily. Runs no transform. Results are unaffected — warming is observable only
         as latency. Idempotent, and O(1) once the plan exists, so an
         extractor shared by many users is planned once.
         """
         if not self._fitted:
             raise NotFittedError("MiniRocket.fit has not been called")
-        if self._plan is None and warm_engine(self.engine) == "c":
-            self._c_plan()
+        self._c_plan()
         return self
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -512,13 +460,12 @@ class MiniRocket:
             Feature matrix of shape ``(n, n_features_out)``.
         """
         x = self._check_transform_input(x)
-        if _resolve_engine(self.engine) == "c":
-            plan = self._c_plan()
-            if plan is not None:
-                features = _ckernel.transform_prepared(plan, x)
-                if features is not None:
-                    return features
-            # Compiled path declined the shape; fall through to NumPy.
+        plan = self._c_plan()
+        if plan is not None:
+            features = _ckernel.transform_prepared(plan, x)
+            if features is not None:
+                return features
+        # No compiled kernel, or it declined the shape: NumPy.
         return self._transform_vectorized(x)
 
     def _transform_vectorized(self, x: np.ndarray) -> np.ndarray:
@@ -535,7 +482,7 @@ class MiniRocket:
         n_feature_cols = self.n_features_out
         per_channel = n_feature_cols // channels
         out = np.empty((n, n_feature_cols))
-        batch = self.batch_size
+        batch = BATCH_SIZE
 
         for ch in range(channels):
             xc = x[:, ch, :]

@@ -5,7 +5,7 @@ ASGI app, tests, the load harness) talks to. It owns:
 
 - a :class:`~repro.core.registry.ModelRegistry` — the thread-safe
   template store and engine host;
-- the :class:`~repro.core.enrollment.NegativeBank` every wire
+- the :class:`~repro.core.negatives.NegativeBank` every wire
   enrollment trains against, built once before the service starts;
 - one :class:`~repro.core.session.SessionManager` per active user (the
   retry/lockout ladder), in an LRU of bounded size whose evictions
@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.enrollment import NegativeBank, _check_bank
+from ..core.negatives import NegativeBank, _check_bank
 from ..core.registry import ModelRegistry, _check_user_id
 from ..core.session import LockoutStatus, RetryPolicy, SessionManager, SessionState
 from ..errors import (

@@ -5,7 +5,8 @@ plain ASGI 3 application — any ASGI server (uvicorn, hypercorn) can
 host it, but none is required: :func:`serve` runs the same app on a
 small ``asyncio.start_server`` HTTP/1.1 loop with keep-alive, which is
 what ``python -m repro serve`` and the load harness use. It closes a
-connection that sends no request line for :data:`IDLE_TIMEOUT_S`.
+connection that does not send a whole request within
+:data:`IDLE_TIMEOUT_S` of waiting for one.
 
 Routes (all bodies JSON):
 
@@ -60,8 +61,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: too; with each line capped at 64 KiB this bounds a request head.
 MAX_HEADERS = 100
 
-#: Seconds a connection may wait for its next request line before the
-#: server closes it. Serving a request never counts toward it.
+#: Seconds a connection has, from when the server starts waiting for its
+#: next request line, to deliver that request through its last body
+#: byte before the server closes it. Serving a request never counts
+#: toward it.
 IDLE_TIMEOUT_S = 60.0
 
 _REASONS = {  # concurrency: immutable-after-init
@@ -298,7 +301,7 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 
 class _IdleTimer:  # concurrency: thread-hostile
     """Closes a connection left waiting :data:`IDLE_TIMEOUT_S` for a
-    request line.
+    whole request.
 
     One timer handle per connection: :meth:`arm` and :meth:`disarm` only
     move the deadline, and a handle that fires early re-arms itself for
@@ -346,15 +349,16 @@ async def _read_request(
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket.
 
-    ``idle`` is armed while the request line is awaited, and only then.
+    ``idle`` is armed from the wait for the request line until the last
+    body byte, and only then. A read that ends the connection (``None``
+    or an exception) leaves it armed; the connection's handler cancels
+    it.
     """
     idle.arm()
     try:
         request_line = await _read_line(reader)
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
-    finally:
-        idle.disarm()
     if not request_line or idle.closed():
         return None  # a line cut short by the idle close is not served
     parts = request_line.decode("latin-1").strip().split(" ")
@@ -379,6 +383,11 @@ async def _read_request(
     if not 0 <= length <= MAX_BODY_BYTES:
         raise ProtocolError(f"unacceptable content-length {raw[:32]!r}")
     body = await reader.readexactly(length) if length else b""
+    idle.disarm()
+    if idle.closed():
+        # The close cut the headers short: a closed transport reads as
+        # an empty line, which ends the header block early.
+        return None
     path = target.split("?", 1)[0]
     return method, path, headers, body
 

@@ -79,9 +79,9 @@ class TestAuthenticationFlow:
             pre, keystroke_detected=(True, False, False, False)
         )
         monkeypatch.setattr(
-            stages, "preprocess_trials", lambda _trials, _config: [pre]
+            stages, "preprocess_trial", lambda _trial, _config: pre
         )
-        decision = AuthPipeline(enrolled_auth.models).run([trial], [True])[0]
+        decision = AuthPipeline(enrolled_auth.models).run(trial, True)
         assert not decision.accepted
         assert decision.input_case is InputCase.REJECT
 
@@ -89,7 +89,7 @@ class TestAuthenticationFlow:
         """A detected keystroke on a never-enrolled key cannot pass."""
         trial = study_data.trials(0, "5094", "one_handed", 1)[0]
         engine = AuthPipeline(enrolled_auth.models, no_pin_mode=True)
-        decision = engine.run([trial], [True])[0]
+        decision = engine.run(trial, True)
         assert not any(
             passed
             for key, passed in zip(decision.keys_checked, decision.passes)
@@ -99,7 +99,7 @@ class TestAuthenticationFlow:
     def test_missing_pin_ok_outside_no_pin_mode(self, enrolled_auth, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 1)[0]
         with pytest.raises(AuthenticationError):
-            AuthPipeline(enrolled_auth.models).run([trial], [None])
+            AuthPipeline(enrolled_auth.models).run(trial, None)
 
     def test_privacy_boost_path(self, enrolled_auth_boost, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 8)[7]
@@ -126,6 +126,6 @@ class TestArtifactAnnotations:
             for obj in vars(artifacts).values()
             if dataclasses.is_dataclass(obj) and obj.__module__ == artifacts.__name__
         ]
-        assert len(classes) == 8
+        assert len(classes) == 4
         for cls in classes:
             typing.get_type_hints(cls, globalns=namespace)

@@ -204,7 +204,7 @@ class TestSessionRetryLadder:
         with_policy = P2Auth(
             pin=PIN, options=auth.options, policy=DP()
         )
-        with_policy._models = auth.models
+        with_policy._install(auth.models)
         session = SessionManager(
             with_policy, retry=RetryPolicy(max_failures=2)
         )

@@ -12,7 +12,7 @@ from repro.core import (
     extract_segments,
     preprocess_trial,
 )
-from repro.core.enrollment import fixed_window
+from repro.core.models import fixed_window
 from repro.data import StudyData, ThirdPartyStore
 from repro.errors import EnrollmentError, NotFittedError
 from repro.ml import KNNClassifier

@@ -121,7 +121,7 @@ def staged_run(auth, trial, pin_ok):
         policy=auth.policy,
         no_pin_mode=auth.no_pin_mode,
     )
-    return pipeline.run([trial], [pin_ok])[0]
+    return pipeline.run(trial, pin_ok)
 
 
 def _slot_vectors(auth):

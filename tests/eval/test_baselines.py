@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.core import preprocess_trial
-from repro.core.enrollment import extract_full_waveform
+from repro.core import extract_full_waveform
 from repro.data import StudyData, ThirdPartyStore
 from repro.errors import EnrollmentError, NotFittedError
 from repro.eval.baselines import (

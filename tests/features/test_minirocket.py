@@ -16,9 +16,7 @@ from repro.features.minirocket import (
     _shifted_stack,
 )
 
-ENGINES = ["vectorized"] + (
-    ["c"] if mr._ckernel.available() else []
-)
+from .conftest import ENGINES, simulate_host
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +205,9 @@ class TestWarm:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_runs_no_transform(self, series, engine, monkeypatch):
-        rocket = MiniRocket(num_features=336, engine=engine).fit(series)
+        simulate_host(engine, monkeypatch)
+        assert mr.warm_engine() == engine
+        rocket = MiniRocket(num_features=336).fit(series)
         calls = _count_transforms(monkeypatch)
         assert rocket.warm() is rocket
         assert calls == []
@@ -218,7 +218,7 @@ class TestWarm:
         not mr._ckernel.available(), reason="no compiled kernel"
     )
     def test_warm_plans_once_on_c_engine(self, series, monkeypatch):
-        rocket = MiniRocket(num_features=336, engine="c").fit(series)
+        rocket = MiniRocket(num_features=336).fit(series)
         assert rocket._plan is None
         rocket.warm()
         plan = rocket._plan
@@ -233,9 +233,12 @@ class TestWarm:
         assert rocket._plan is plan
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_warmed_transform_matches_unwarmed_twin(self, series, engine):
-        warmed = MiniRocket(num_features=336, engine=engine).fit(series)
-        twin = MiniRocket(num_features=336, engine=engine).fit(series)
+    def test_warmed_transform_matches_unwarmed_twin(
+        self, series, engine, monkeypatch
+    ):
+        simulate_host(engine, monkeypatch)
+        warmed = MiniRocket(num_features=336).fit(series)
+        twin = MiniRocket(num_features=336).fit(series)
         warmed.warm()
         got = warmed.transform(series)
         expected = twin.transform(series)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
 from repro.features import minirocket as mr
 from repro.features.minirocket import (
     KERNEL_INDICES,
@@ -22,7 +21,7 @@ from repro.features.minirocket import (
     _golden_quantiles,
 )
 
-ENGINES = ["vectorized"] + (["c"] if mr._ckernel.available() else [])
+from .conftest import ENGINES, simulate_host
 
 
 def _data(n, channels, length, seed=0):
@@ -31,23 +30,28 @@ def _data(n, channels, length, seed=0):
     return x + np.sin(np.linspace(0.0, 2.5, length))
 
 
-def _pair(engine, **kwargs):
-    """A fast-engine instance and an identically-seeded twin."""
-    return MiniRocket(engine=engine, **kwargs), MiniRocket(**kwargs)
+def _pair(**kwargs):
+    """An instance for the engine under test and an identically-seeded
+    twin that serves the reference loop."""
+    return MiniRocket(**kwargs), MiniRocket(**kwargs)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEngineParity:
+    @pytest.fixture(autouse=True)
+    def _host(self, engine, monkeypatch):
+        simulate_host(engine, monkeypatch)
+
     def test_univariate(self, engine):
         x = _data(12, 1, 90)
-        fast, ref = _pair(engine, num_features=840)
+        fast, ref = _pair(num_features=840)
         got = fast.fit(x).transform(x)
         expected = ref.fit(x)._transform_reference(x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_multivariate(self, engine):
         x = _data(10, 4, 90, seed=3)
-        fast, ref = _pair(engine, num_features=1996)
+        fast, ref = _pair(num_features=1996)
         got = fast.fit(x).transform(x)
         expected = ref.fit(x)._transform_reference(x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
@@ -55,27 +59,26 @@ class TestEngineParity:
     @pytest.mark.parametrize("length", [17, 33, 91, 127])
     def test_odd_lengths(self, engine, length):
         x = _data(6, 2, length, seed=length)
-        fast, ref = _pair(engine, num_features=504)
+        fast, ref = _pair(num_features=504)
         got = fast.fit(x).transform(x)
         expected = ref.fit(x)._transform_reference(x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_single_dilation_per_kernel(self, engine):
         x = _data(5, 1, 60, seed=9)
-        fast, ref = _pair(engine, num_features=420, max_dilations_per_kernel=1)
+        fast, ref = _pair(num_features=420, max_dilations_per_kernel=1)
         got = fast.fit(x).transform(x)
         expected = ref.fit(x)._transform_reference(x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
-    def test_batch_size_invariance(self, engine):
+    def test_batch_size_invariance(self, engine, monkeypatch):
         """Instance batching is an implementation detail: any chunking
         must give the same matrix."""
         x = _data(11, 2, 90, seed=5)
         outputs = []
         for batch_size in (1, 7, 256):
-            rocket = MiniRocket(
-                num_features=840, batch_size=batch_size, engine=engine
-            )
+            monkeypatch.setattr(mr, "BATCH_SIZE", batch_size)
+            rocket = MiniRocket(num_features=840)
             outputs.append(rocket.fit(x).transform(x))
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=0, atol=0)
         np.testing.assert_allclose(outputs[0], outputs[2], rtol=0, atol=0)
@@ -89,7 +92,7 @@ class TestEngineParity:
     )
     def test_random_shapes(self, engine, n, channels, length, seed):
         x = _data(n, channels, length, seed=seed)
-        fast, ref = _pair(engine, num_features=336)
+        fast, ref = _pair(num_features=336)
         got = fast.fit(x).transform(x)
         expected = ref.fit(x)._transform_reference(x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
@@ -153,16 +156,16 @@ class TestAs3d:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The engine is picked from the host; there is no option to name.
+        with pytest.raises(TypeError):
             MiniRocket(engine="fortran")
+        with pytest.raises(TypeError):
+            MiniRocket(batch_size=7)
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        # The per-kernel loop is the parity oracle, not an engine.
-        monkeypatch.setenv("REPRO_MINIROCKET_ENGINE", "reference")
-        with pytest.raises(ConfigurationError):
-            mr._resolve_engine(None)
+    def test_env_var_no_longer_selects_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_MINIROCKET_ENGINE", "vectorized")
-        assert mr._resolve_engine(None) == "vectorized"
+        expected = "c" if mr.c_kernel_available() else "vectorized"
+        assert mr.warm_engine() == expected
 
     def test_auto_resolves_to_concrete_engine(self):
-        assert mr._resolve_engine("auto") in ("c", "vectorized")
+        assert mr.warm_engine() in ("c", "vectorized")

@@ -62,7 +62,7 @@ class TestPlattScaler:
         """Calibrate the full-waveform model's scores."""
         from repro.config import PipelineConfig
         from repro.core import preprocess_trial
-        from repro.core.enrollment import WaveformModel, extract_full_waveform
+        from repro.core import WaveformModel, extract_full_waveform
         from repro.data import ThirdPartyStore
 
         config = PipelineConfig()

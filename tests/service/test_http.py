@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.session import RetryPolicy
 from repro.service import AuthService, encode_trial, make_app, pin_proof
+from repro.service import http as service_http
 from repro.service.http import MAX_HEADERS, serve
 from repro.service.protocol import MAX_TOKEN_CHARS, make_nonce
 
@@ -593,3 +594,47 @@ class TestSocketServer:
 
         assert asyncio.run(run()) == b""
         assert served == []
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /v1/session/u0 HTTP/1.1\r\nhost: x\r\n",
+            b"POST /v1/auth HTTP/1.1\r\ncontent-length: 64\r\n\r\n"
+            b'{"user_id": "u0", ',
+        ],
+        ids=["stalled-headers", "short-body"],
+    )
+    def test_stalled_request_is_closed_and_not_served(
+        self, service, monkeypatch, partial
+    ):
+        # The timer runs from the wait for the request line to the last
+        # body byte: a client that stops partway through its headers or
+        # body is closed, and what it sent is never dispatched.
+        monkeypatch.setattr("repro.service.http.IDLE_TIMEOUT_S", 0.2)
+        dispatched = []
+        dispatch = service_http._dispatch
+
+        async def spy(service, method, path, body):
+            dispatched.append(path)
+            return await dispatch(service, method, path, body)
+
+        monkeypatch.setattr(service_http, "_dispatch", spy)
+
+        async def run():
+            async with live_server(service) as address:
+                reader, writer = await asyncio.open_connection(*address)
+                writer.write(partial)
+                await writer.drain()
+                t0 = asyncio.get_running_loop().time()
+                try:
+                    reply = await asyncio.wait_for(reader.read(), 5)
+                    closed_s = asyncio.get_running_loop().time() - t0
+                    await asyncio.sleep(0.1)  # let the server finish up
+                finally:
+                    writer.close()
+                return reply, closed_s
+
+        reply, closed_s = asyncio.run(run())
+        assert reply == b""
+        assert 0.15 <= closed_s < 4.0
+        assert dispatched == []

@@ -97,25 +97,68 @@ print(json.dumps(recorder.names))
 """
 
 
+#: Installs perfbench's traced launcher, authenticates one probe through
+#: an 840-feature authenticator, and prints ``[name, parent name]`` for
+#: each span that probe opened, in the order the spans closed.
+_TRACE_ONE_PROBE = """
+import json
+from benchlib.traced_serve import Recorder, install
+
+recorder = Recorder()
+install(recorder)
+
+from repro.config import PAPER_PINS
+from repro.core import EnrollmentOptions, P2Auth
+from repro.data import StudyData, ThirdPartyStore
+
+pin = PAPER_PINS[0]
+data = StudyData(n_users=3, seed=21)
+auth = P2Auth(pin=pin, options=EnrollmentOptions(num_features=840))
+auth.enroll(
+    data.trials(0, pin, "one_handed", 6),
+    ThirdPartyStore(data, [1, 2], pin).sample(12),
+)
+probe = data.trials(0, pin, "one_handed", 7)[6]
+del recorder.spans[:]
+auth.authenticate(probe)
+names = {span[0]: span[3] for span in recorder.spans}
+print(json.dumps([[span[3], names.get(span[1])] for span in recorder.spans]))
+"""
+
+
+def _run_with_perfbench(script):
+    """Run ``script`` in a subprocess that imports ``src`` and ``perfbench``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 class TestTracedLauncher:
+    def test_one_probe_opens_each_stage_span_once(self):
+        # perfbench reads one core.stages.* span per stage per request,
+        # each a child of the engine call.
+        stages = ["repair", "preprocess", "segment", "featurize", "classify", "decide"]
+        assert _run_with_perfbench(_TRACE_ONE_PROBE) == [
+            [f"core.stages.{stage}", "core.authenticator.authenticate"]
+            for stage in stages
+        ] + [["core.authenticator.authenticate", None]]
+
     def test_every_layer_entry_point_still_exists(self):
         # perfbench/benchlib/traced_serve.py wraps these by module path
         # and name, among them each repro.core.stages *Stage.run: the
         # staged engine stays in the package for these spans.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", _INSTALL_TRACING],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [
+        assert _run_with_perfbench(_INSTALL_TRACING) == [
             "service.protocol.parse",
             "service.protocol.enroll_parse",
             "service.protocol.to_wire",

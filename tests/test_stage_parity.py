@@ -31,13 +31,11 @@ from repro.core import (
     EnrollmentOptions,
     ModelRegistry,
     P2Auth,
-    identify_input_case,
-    preprocess_trial,
-)
-from repro.core.enrollment import (
     extract_full_waveform,
     extract_fused_waveform,
     extract_segments,
+    identify_input_case,
+    preprocess_trial,
 )
 from repro.core.stages import AuthPipeline
 from repro.data import StudyData, ThirdPartyStore
@@ -156,7 +154,7 @@ def staged_run(auth, trial, pin_ok=True) -> AuthDecision:
         policy=auth.policy,
         no_pin_mode=auth.no_pin_mode,
     )
-    return pipeline.run([trial], [pin_ok])[0]
+    return pipeline.run(trial, pin_ok)
 
 
 def assert_decisions_identical(staged: AuthDecision, reference: AuthDecision):
@@ -267,7 +265,7 @@ class TestStagedVsReference:
         with pytest.raises(AuthenticationError, match="no fused model"):
             _reference_authenticate(boosted, pre, True)
         with pytest.raises(AuthenticationError, match="no fused model"):
-            AuthPipeline(boosted).run([trial], [True])
+            AuthPipeline(boosted).run(trial, True)
 
 
 # ---------------------------------------------------------------------------

@@ -96,18 +96,6 @@ def reraised(fn):
         raise RuntimeError("wrapped") from exc
 
 
-# RL007 near-misses: the façade and the package itself are fine, as are
-# unrelated modules that merely share a segment name.
-def facade_imports():
-    import repro.core
-    import repro.core.enrollment
-    from repro.core import enrollment
-    from repro.core.enrollment import enroll_models
-    from other.core.models import something
-
-    return repro.core, enrollment, enroll_models, something
-
-
 # RL009 near-misses: annotated bindings and immutable constants.
 _LIMITS = {"max_retries": 3}  # concurrency: immutable-after-init
 _EDGES = (1, 2, 3)

@@ -82,24 +82,6 @@ class TestRuleFixtures:
             ("RL006", 22),
         ]
 
-    def test_rl007_enrollment_internals(self):
-        assert findings_for("bad_rl007.py") == [
-            ("RL007", 3),
-            ("RL007", 4),
-            ("RL007", 5),
-            ("RL007", 6),
-            ("RL007", 7),
-            ("RL007", 7),
-            ("RL007", 8),
-            ("RL007", 9),
-            ("RL007", 10),
-        ]
-
-    def test_rl007_silent_inside_core(self):
-        source = "from repro.core.models import WaveformModel\n"
-        result = lint_source(source, path="src/repro/core/enrollment.py")
-        assert result.findings == []
-
     def test_rl008_ckernel_internals(self):
         assert findings_for("bad_rl008.py") == [
             ("RL008", 3),

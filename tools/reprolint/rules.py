@@ -1,4 +1,4 @@
-"""The eight reproduction-invariant rules.
+"""The seven reproduction-invariant rules.
 
 Each rule is a small :mod:`ast` visitor grounded in a hazard this repo
 has actually hit (or deliberately guards against):
@@ -17,10 +17,6 @@ RL005     exact float equality outside the parity-test allowlist (bit-exact
           checks belong in the parity suites; elsewhere they rot silently)
 RL006     silently-swallowed exceptions (bare ``except`` / handlers that
           neither re-raise nor call anything)
-RL007     imports of the split enrollment internals
-          (``repro.core.models`` / ``negatives`` / ``enroll``) from
-          outside ``repro.core`` — external code must go through the
-          ``repro.core.enrollment`` façade or ``repro.core`` itself
 RL008     direct use of the ``repro.features._ckernel`` build/compile
           internals outside ``repro/features/`` or a warmup path — the
           module compiles a shared library on first touch, so stray
@@ -501,73 +497,6 @@ class SilentExceptRule(Rule):
         return True
 
 
-class EnrollmentInternalsRule(Rule):
-    """RL007: enrollment split internals imported from outside repro.core."""
-
-    rule_id = "RL007"
-    name = "enrollment-internals-import"
-    description = "import of repro.core.{models,negatives,enroll} internals"
-    rationale = (
-        "The enrollment monolith was split into models/negatives/enroll "
-        "behind the repro.core.enrollment façade; importing the "
-        "submodules directly from outside repro.core couples callers to "
-        "the split and defeats the façade's compatibility guarantee."
-    )
-
-    _INTERNAL = ("models", "negatives", "enroll")
-
-    def check(self, module: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        if "repro/core/" in ctx.path.replace("\\", "/"):
-            return
-        for node in ast.walk(module):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    sub = self._internal_of(alias.name, absolute=True)
-                    if sub is not None:
-                        yield self._finding(ctx, node, sub)
-            elif isinstance(node, ast.ImportFrom):
-                module_name = node.module or ""
-                sub = self._internal_of(
-                    module_name, absolute=node.level == 0
-                )
-                if sub is not None:
-                    yield self._finding(ctx, node, sub)
-                    continue
-                if self._is_core_package(module_name, node.level):
-                    for alias in node.names:
-                        if alias.name in self._INTERNAL:
-                            yield self._finding(ctx, node, alias.name)
-
-    def _internal_of(self, module_name: str, absolute: bool) -> Optional[str]:
-        """The internal submodule a dotted module path points into."""
-        parts = module_name.split(".") if module_name else []
-        prefixes = [("repro", "core")] if absolute else [("repro", "core"), ("core",)]
-        for prefix in prefixes:
-            n = len(prefix)
-            if (
-                len(parts) > n
-                and tuple(parts[:n]) == prefix
-                and parts[n] in self._INTERNAL
-            ):
-                return parts[n]
-        return None
-
-    @staticmethod
-    def _is_core_package(module_name: str, level: int) -> bool:
-        if level == 0:
-            return module_name == "repro.core"
-        return module_name in ("repro.core", "core")
-
-    def _finding(self, ctx: FileContext, node: ast.AST, sub: str) -> Finding:
-        return self.finding(
-            ctx,
-            node,
-            f"'repro.core.{sub}' is an internal of the enrollment split; "
-            "import through 'repro.core.enrollment' (or 'repro.core') "
-            "instead",
-        )
-
-
 class CKernelInternalsRule(Rule):
     """RL008: C-kernel build internals reached from outside features/."""
 
@@ -661,7 +590,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     MutableDefaultRule(),
     FloatEqualityRule(),
     SilentExceptRule(),
-    EnrollmentInternalsRule(),
     CKernelInternalsRule(),
 ) + CONCURRENCY_RULES
 
