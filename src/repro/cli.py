@@ -379,7 +379,7 @@ def _build_service(args: argparse.Namespace) -> "AuthService":
         for u in range(n):
             uid = f"u{u:07d}"
             trials = _gate_passing_trials(data, u, pin, n_trials, config, options)
-            registry.enroll(uid, pin, trials, (), shared_negatives=bank)
+            registry.enroll(uid, pin, trials, bank)
             service.adopt_user(uid, pin)
     elif args.packed:
         users = registry.list_users()

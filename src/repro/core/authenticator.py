@@ -18,7 +18,7 @@ the HTTP service.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence, Set, Union
 
 from ..config import PipelineConfig
 from ..errors import EnrollmentError
@@ -190,28 +190,21 @@ class P2Auth:
     def enroll(
         self,
         legit_trials: Sequence[PinEntryTrial],
-        third_party_trials: Sequence[PinEntryTrial],
-        shared_negatives: Optional[NegativeBank] = None,
+        negatives: Union[Sequence[PinEntryTrial], NegativeBank],
     ) -> "P2Auth":
         """Enroll a user from their trials plus the third-party store.
 
         Args:
             legit_trials: the enrolling user's PIN entries.
-            third_party_trials: negative samples from other people
-                stored on the device (paper default: 100). Ignored when
-                ``shared_negatives`` is given.
-            shared_negatives: a pre-built
-                :class:`~repro.core.negatives.NegativeBank`; skips the
-                store-side preprocessing and feature extraction.
+            negatives: negative samples from other people stored on the
+                device (paper default: 100 trials), or a
+                :class:`~repro.core.negatives.NegativeBank` built from
+                them, which skips the store-side preprocessing and
+                feature extraction (see
+                :func:`~repro.core.enroll.enroll_models`).
         """
         self._install(
-            enroll_models(
-                legit_trials,
-                third_party_trials,
-                self._config,
-                self._options,
-                shared_negatives=shared_negatives,
-            )
+            enroll_models(legit_trials, negatives, self._config, self._options)
         )
         return self
 

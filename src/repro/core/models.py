@@ -1,18 +1,19 @@
 """Model layer of enrollment: waveform extraction and learning units.
 
 This module holds the *data-facing* half of the enrollment phase: the
-fixed-window waveform extractors of Section IV-B.2 and the
+fixed-window waveform extractors of Section IV-B.2, the
 :class:`WaveformModel` learning unit (feature extractor + scaler +
-binary classifier) together with the :class:`EnrolledModels` bundle a
-finished enrollment produces. Orchestration (quality gates, the
-per-key training loop) lives in :mod:`repro.core.enroll`; shared
-negative banks live in :mod:`repro.core.negatives`.
+binary classifier) with the :class:`SharedNegativeSet` a negative bank
+trains it against, and the :class:`EnrolledModels` bundle a finished
+enrollment produces. Orchestration (quality gates, the training loop)
+lives in :mod:`repro.core.enroll`; the rule for which negatives each
+model gets, and the banks built from it, in :mod:`repro.core.negatives`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,9 +25,6 @@ from ..ml.base import BinaryClassifier
 from ..types import SegmentedKeystroke
 from .fusion import fuse_waveforms
 from .pipeline import PreprocessedTrial
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .negatives import SharedNegativeSet
 
 #: Feature methods supported by :class:`WaveformModel`.
 FEATURE_METHODS = ("rocket", "manual", "raw")
@@ -139,6 +137,24 @@ def extract_fused_waveform(
     return fuse_waveforms(segments)
 
 
+@dataclass(frozen=True)
+class SharedNegativeSet:
+    """Featurized third-party negatives for one model slot.
+
+    Attributes:
+        feature_method: the method the features were produced with.
+        extractor: the MiniRocket fitted on the negatives ("rocket"
+            method; ``None`` for "raw").
+        features: the featurized negatives — ``(n_neg, n_features)``
+            for "rocket", the raw ``(n_neg, channels, window)`` stack
+            for "raw".
+    """
+
+    feature_method: str
+    extractor: Optional[MiniRocket]
+    features: np.ndarray
+
+
 class WaveformModel:
     """One binary authentication model over fixed-length waveforms.
 
@@ -169,58 +185,84 @@ class WaveformModel:
         self._scaler: Optional[StandardScaler] = None
         self._fitted = False
 
-    def _featurize(
-        self, x: np.ndarray, fit: bool, positives: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if self.feature_method == "rocket":
-            if fit:
-                self._rocket = MiniRocket(
-                    num_features=self.num_features, seed=self.seed
-                )
-                self._rocket.fit(x)
-            if self._rocket is None:
-                raise NotFittedError("WaveformModel.fit has not been called")
-            features = self._rocket.transform(x)
-        elif self.feature_method == "manual":
-            if fit:
-                # Stride 2 halves the DTW cost while keeping the
-                # manual baseline one to two orders of magnitude
-                # slower than the ROCKET path (Table I's comparison).
-                self._manual = ManualFeatureExtractor(dtw_stride=2)
-                self._manual.fit(positives if positives is not None else x)
-            if self._manual is None:
-                raise NotFittedError("WaveformModel.fit has not been called")
-            features = self._manual.transform(x)
-        else:  # raw
+    def _extract(self, x: np.ndarray) -> np.ndarray:
+        """Unscaled features of ``(n, channels, window)`` waveforms."""
+        if self.feature_method == "raw":
             return x
-        if fit:
-            self._scaler = StandardScaler().fit(features)
+        extractor = self._rocket if self.feature_method == "rocket" else self._manual
+        if extractor is None:
+            raise NotFittedError("WaveformModel.fit has not been called")
+        return extractor.transform(x)
+
+    def _featurize(self, x: np.ndarray) -> np.ndarray:
+        """The classifier's input for ``(n, channels, window)`` waveforms."""
+        features = self._extract(x)
+        if self.feature_method == "raw":
+            return features
         if self._scaler is None:
             raise NotFittedError("WaveformModel.fit has not been called")
         return self._scaler.transform(features)
 
-    def fit(self, positives: np.ndarray, negatives: np.ndarray) -> "WaveformModel":
+    def fit(
+        self,
+        positives: np.ndarray,
+        negatives: Union[np.ndarray, SharedNegativeSet],
+    ) -> "WaveformModel":
         """Train on legitimate (``positives``) vs third-party samples.
 
-        Both inputs have shape ``(n, channels, window)``.
+        ``positives`` has shape ``(n, channels, window)``. ``negatives``
+        is either a raw stack of the same shape, on which the extractor
+        is fitted together with the positives, or a
+        :class:`SharedNegativeSet` of a
+        :class:`~repro.core.negatives.NegativeBank`, whose extractor
+        (fitted on the negatives alone) and negative features are reused
+        verbatim.
         """
         positives = np.asarray(positives, dtype=np.float64)
-        negatives = np.asarray(negatives, dtype=np.float64)
-        if positives.ndim != 3 or negatives.ndim != 3:
+        shared = negatives if isinstance(negatives, SharedNegativeSet) else None
+        neg = (
+            shared.features
+            if shared is not None
+            else np.asarray(negatives, dtype=np.float64)
+        )
+        if positives.ndim != 3 or (shared is None and neg.ndim != 3):
             raise EnrollmentError(
                 "expected 3-D (n, channels, window) training arrays, got "
-                f"{positives.shape} and {negatives.shape}"
+                f"{positives.shape} and {neg.shape}"
             )
-        if positives.shape[0] == 0 or negatives.shape[0] == 0:
+        n_pos, n_neg = positives.shape[0], neg.shape[0]
+        if n_pos == 0 or n_neg == 0:
             raise EnrollmentError("both classes need at least one sample")
-        x = np.concatenate([positives, negatives], axis=0)
-        y = np.concatenate(
-            [np.ones(positives.shape[0]), -np.ones(negatives.shape[0])]
-        )
-        features = self._featurize(x, fit=True, positives=positives)
+        if shared is not None:
+            if (
+                shared.feature_method != self.feature_method
+                or self.feature_method not in SHAREABLE_FEATURE_METHODS
+            ):
+                raise EnrollmentError(
+                    f"negatives featurized with {shared.feature_method!r} "
+                    f"cannot train a {self.feature_method!r} model"
+                )
+            self._rocket = shared.extractor
+            features = np.concatenate([self._extract(positives), neg], axis=0)
+        else:
+            x = np.concatenate([positives, neg], axis=0)
+            if self.feature_method == "rocket":
+                self._rocket = MiniRocket(
+                    num_features=self.num_features, seed=self.seed
+                )
+                self._rocket.fit(x)
+            elif self.feature_method == "manual":
+                # Stride 2 halves the DTW cost while keeping the
+                # manual baseline one to two orders of magnitude
+                # slower than the ROCKET path (Table I's comparison).
+                self._manual = ManualFeatureExtractor(dtw_stride=2)
+                self._manual.fit(positives)
+            features = self._extract(x)
+        if self.feature_method != "raw":
+            self._scaler = StandardScaler().fit(features)
+            features = self._scaler.transform(features)
+        y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
         if self.balanced:
-            n_pos = positives.shape[0]
-            n_neg = negatives.shape[0]
             n = n_pos + n_neg
             weights = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
             try:
@@ -228,61 +270,6 @@ class WaveformModel:
             except TypeError:
                 # Classifier without weight support: fall back silently;
                 # balance is an optimization, not a correctness need.
-                self._classifier.fit(features, y)
-        else:
-            self._classifier.fit(features, y)
-        self._fitted = True
-        return self
-
-    def fit_shared(
-        self, positives: np.ndarray, shared: "SharedNegativeSet"
-    ) -> "WaveformModel":
-        """Train against a pre-featurized shared negative set.
-
-        The extractor comes pre-fitted (on the negatives alone) from
-        the :class:`~repro.core.negatives.NegativeBank`, so only the
-        positives are featurized here; the negative features are reused
-        verbatim across every user enrolled against the same bank.
-        """
-        positives = np.asarray(positives, dtype=np.float64)
-        if positives.ndim != 3:
-            raise EnrollmentError(
-                f"expected a 3-D (n, channels, window) positive array, "
-                f"got {positives.shape}"
-            )
-        if positives.shape[0] == 0:
-            raise EnrollmentError("both classes need at least one sample")
-        if shared.feature_method != self.feature_method:
-            raise EnrollmentError(
-                f"shared negatives were featurized with "
-                f"{shared.feature_method!r} but this model uses "
-                f"{self.feature_method!r}"
-            )
-        if self.feature_method == "rocket":
-            if shared.extractor is None:
-                raise EnrollmentError("shared negative set has no extractor")
-            self._rocket = shared.extractor
-            pos_features = self._rocket.transform(positives)
-        elif self.feature_method == "raw":
-            pos_features = positives
-        else:
-            raise EnrollmentError(
-                f"feature method {self.feature_method!r} cannot use shared "
-                f"negatives (its extractor is fitted on the positives)"
-            )
-        features = np.concatenate([pos_features, shared.features], axis=0)
-        n_pos = positives.shape[0]
-        n_neg = shared.features.shape[0]
-        y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
-        if self.feature_method == "rocket":
-            self._scaler = StandardScaler().fit(features)
-            features = self._scaler.transform(features)
-        if self.balanced:
-            n = n_pos + n_neg
-            weights = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-            try:
-                self._classifier.fit(features, y, sample_weight=weights)
-            except TypeError:
                 self._classifier.fit(features, y)
         else:
             self._classifier.fit(features, y)
@@ -297,7 +284,7 @@ class WaveformModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             x = x[np.newaxis]
-        features = self._featurize(x, fit=False)
+        features = self._featurize(x)
         return np.asarray(self._classifier.decision_function(features))
 
     def accepts(self, waveform: np.ndarray) -> bool:

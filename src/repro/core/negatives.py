@@ -1,9 +1,12 @@
-"""Shared third-party negatives: preprocess and featurize the store once.
+"""Third-party negatives: which ones each model trains against.
 
-Enrolling many users against the same third-party store repeats none of
-the store-side preprocessing or feature extraction when the negatives
-are packaged as a :class:`NegativeBank` — the extractors are fitted on
-the negatives alone (``SHAREABLE_FEATURE_METHODS``), so the bank is
+:func:`select_negatives` is the one rule for cutting each model slot's
+negatives out of a preprocessed third-party store. Enrollment trains on
+those stacks raw, or on a :class:`NegativeBank` that
+:func:`build_negative_bank` featurizes from them once, so that enrolling
+many users against the same store repeats none of the store-side
+preprocessing or feature extraction. A bank's extractors are fitted on
+the negatives alone (``SHAREABLE_FEATURE_METHODS``), so it is
 independent of any particular enrolling user.
 """
 
@@ -20,6 +23,7 @@ from ..features import MiniRocket
 from ..types import PinEntryTrial
 from .models import (
     EnrollmentOptions,
+    SharedNegativeSet,
     _collect_segments,
     extract_full_waveform,
     extract_fused_waveform,
@@ -32,21 +36,15 @@ MIN_SAME_KEY_NEGATIVES = 10
 
 
 @dataclass(frozen=True)
-class SharedNegativeSet:
-    """Featurized third-party negatives for one model slot.
+class NegativeStacks:
+    """Each model slot's raw negatives, as :func:`select_negatives`
+    cuts them: ``(n, channels, window)`` stacks in the slots of
+    :class:`NegativeBank`."""
 
-    Attributes:
-        feature_method: the method the features were produced with.
-        extractor: the MiniRocket fitted on the negatives ("rocket"
-            method; ``None`` for "raw").
-        features: the featurized negatives — ``(n_neg, n_features)``
-            for "rocket", the raw ``(n_neg, channels, window)`` stack
-            for "raw".
-    """
-
-    feature_method: str
-    extractor: Optional[MiniRocket]
-    features: np.ndarray
+    full: np.ndarray
+    fused: Optional[np.ndarray]
+    key_sets: Dict[str, np.ndarray]
+    key_fallback: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,9 @@ class NegativeBank:
     """Third-party negatives preprocessed and featurized once.
 
     Built by :func:`build_negative_bank` from a third-party store and
-    passed to :func:`~repro.core.enroll.enroll_models` (via
-    ``shared_negatives=``) so that enrolling many users against the
+    passed as the negatives of
+    :func:`~repro.core.enroll.enroll_models` (or ``P2Auth.enroll``,
+    ``ModelRegistry.enroll``) so that enrolling many users against the
     same store repeats none of the store-side preprocessing or feature
     extraction. The extractors are fitted on the negatives alone, so
     the bank is independent of any particular enrolling user.
@@ -68,7 +67,7 @@ class NegativeBank:
         key_sets: per-key negatives, only for keys with at least
             ``MIN_SAME_KEY_NEGATIVES`` same-key segments in the store.
         key_fallback: all store segments pooled — used for keys not in
-            ``key_sets`` (mirrors the unshared fallback rule).
+            ``key_sets``.
         config: pipeline configuration the store was preprocessed with.
         options: enrollment options the bank was featurized under.
     """
@@ -79,6 +78,50 @@ class NegativeBank:
     key_fallback: Optional[SharedNegativeSet]
     config: PipelineConfig
     options: EnrollmentOptions
+
+
+def select_negatives(
+    preprocessed: Sequence[PreprocessedTrial],
+    config: PipelineConfig,
+    options: EnrollmentOptions,
+) -> NegativeStacks:
+    """Cut each model slot's negatives out of a preprocessed store.
+
+    - full: every trial's full window;
+    - fused (privacy boost only): the fused waveform of each trial with
+      a detected keystroke, ``None`` when no trial has one;
+    - each key: its same-key segments when the store holds at least
+      :data:`MIN_SAME_KEY_NEGATIVES` of them; any other key falls back
+      to every segment pooled (``None`` when there is none), so its
+      classifier still sees other people.
+    """
+    full = np.stack(
+        [
+            extract_full_waveform(p, options.full_window, options.full_margin)
+            for p in preprocessed
+        ]
+    )
+    fused = None
+    if options.privacy_boost:
+        fused_neg = [
+            extract_fused_waveform(p, config)
+            for p in preprocessed
+            if p.detected_count > 0
+        ]
+        if fused_neg:
+            fused = np.stack(fused_neg)
+    by_key = _collect_segments(preprocessed, config)
+    pooled = [s for segs in by_key.values() for s in segs]
+    return NegativeStacks(
+        full=full,
+        fused=fused,
+        key_sets={
+            key: np.stack(segs)
+            for key, segs in by_key.items()
+            if len(segs) >= MIN_SAME_KEY_NEGATIVES
+        },
+        key_fallback=np.stack(pooled) if pooled else None,
+    )
 
 
 def _fit_shared_set(
@@ -111,7 +154,8 @@ def build_negative_bank(
     options: Optional[EnrollmentOptions] = None,
     preprocessed: Optional[Sequence[PreprocessedTrial]] = None,
 ) -> NegativeBank:
-    """Preprocess and featurize a third-party store once.
+    """Preprocess a third-party store and featurize each slot's
+    :func:`select_negatives` stack once.
 
     Args:
         third_party_trials: the store's trials.
@@ -135,40 +179,19 @@ def build_negative_bank(
     elif not preprocessed:
         raise EnrollmentError("no preprocessed third-party trials supplied")
 
-    full_neg = [
-        extract_full_waveform(p, options.full_window, options.full_margin)
-        for p in preprocessed
-    ]
-    full = _fit_shared_set(np.stack(full_neg), options)
+    stacks = select_negatives(preprocessed, config, options)
 
-    fused: Optional[SharedNegativeSet] = None
-    if options.privacy_boost:
-        fused_neg = [
-            extract_fused_waveform(p, config)
-            for p in preprocessed
-            if p.detected_count > 0
-        ]
-        if fused_neg:
-            fused = _fit_shared_set(np.stack(fused_neg), options)
-
-    by_key = _collect_segments(preprocessed, config)
-    all_segments = [s for segs in by_key.values() for s in segs]
-    key_sets = {
-        key: _fit_shared_set(np.stack(segs), options)
-        for key, segs in by_key.items()
-        if len(segs) >= MIN_SAME_KEY_NEGATIVES
-    }
-    key_fallback = (
-        _fit_shared_set(np.stack(all_segments), options)
-        if all_segments
-        else None
-    )
+    def share(stack: Optional[np.ndarray]) -> Optional[SharedNegativeSet]:
+        return None if stack is None else _fit_shared_set(stack, options)
 
     return NegativeBank(
-        full=full,
-        fused=fused,
-        key_sets=key_sets,
-        key_fallback=key_fallback,
+        full=_fit_shared_set(stacks.full, options),
+        fused=share(stacks.fused),
+        key_sets={
+            key: _fit_shared_set(stack, options)
+            for key, stack in stacks.key_sets.items()
+        },
+        key_fallback=share(stacks.key_fallback),
         config=config,
         options=options,
     )

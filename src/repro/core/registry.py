@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Union
 
 from ..concurrency import assert_owned, checked_rlock
 from ..config import PipelineConfig
@@ -159,8 +159,7 @@ class ModelRegistry:
         user_id: str,
         pin: Optional[str],
         legit_trials: Sequence[PinEntryTrial],
-        third_party_trials: Sequence[PinEntryTrial],
-        shared_negatives: Optional[NegativeBank] = None,
+        negatives: Union[Sequence[PinEntryTrial], NegativeBank],
         salt: Optional[bytes] = None,
     ) -> P2Auth:
         """Enroll (or re-enroll) a user and register their models.
@@ -177,9 +176,7 @@ class ModelRegistry:
             salt=salt,
             policy=self._policy,
         )
-        auth.enroll(
-            legit_trials, third_party_trials, shared_negatives=shared_negatives
-        )
+        auth.enroll(legit_trials, negatives)
         self.add(user_id, auth)
         return auth
 

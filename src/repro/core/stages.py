@@ -137,7 +137,7 @@ def _featurize_one(model: WaveformModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[np.newaxis]
-    return model._featurize(x, fit=False)
+    return model._featurize(x)
 
 
 class FeaturizeStage:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..config import PAPER_PINS, PipelineConfig
-from ..core import EnrollmentOptions, P2Auth
+from ..core import EnrollmentOptions, NegativeBank, P2Auth
 from ..core.models import SHAREABLE_FEATURE_METHODS
 from ..data import StudyData, ThirdPartyStore, enroll_test_split
 from ..errors import ConfigurationError
@@ -192,19 +192,15 @@ def evaluate_user(
         options=options,
     )
     transformed_third = _apply(transform, third_party)
-    bank = None
+    negatives: Union[List[PinEntryTrial], NegativeBank] = transformed_third
     if (
         sharing_enabled(share_negatives)
         and feature_method in SHAREABLE_FEATURE_METHODS
     ):
-        bank = default_cache().negative_bank(
+        negatives = default_cache().negative_bank(
             transformed_third, auth.config, options
         )
-    auth.enroll(
-        _apply(transform, enroll_trials),
-        transformed_third,
-        shared_negatives=bank,
-    )
+    auth.enroll(_apply(transform, enroll_trials), negatives)
 
     accepted = [
         auth.authenticate(t).accepted for t in _apply(transform, test_trials)

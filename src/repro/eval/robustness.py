@@ -36,10 +36,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import PAPER_PINS
-from ..core import DegradationPolicy, EnrollmentOptions, P2Auth
+from ..core import DegradationPolicy, EnrollmentOptions, NegativeBank, P2Auth
 from ..core.models import SHAREABLE_FEATURE_METHODS
 from ..data import StudyData, ThirdPartyStore, enroll_test_split
 from ..errors import ConfigurationError, P2AuthError, QualityError
@@ -323,10 +323,10 @@ def _enroll_victim(
 
     options = EnrollmentOptions(num_features=num_features)
     auth = P2Auth(pin=pin, options=options, policy=policy)
-    bank = None
+    negatives: Union[List[PinEntryTrial], NegativeBank] = third_party
     if sharing_enabled(None) and options.feature_method in SHAREABLE_FEATURE_METHODS:
-        bank = default_cache().negative_bank(third_party, auth.config, options)
-    auth.enroll(enroll_trials, third_party, shared_negatives=bank)
+        negatives = default_cache().negative_bank(third_party, auth.config, options)
+    auth.enroll(enroll_trials, negatives)
     return auth, list(test_trials)
 
 

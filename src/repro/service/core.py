@@ -332,9 +332,7 @@ class AuthService:  # concurrency: thread-hostile
 
             def train() -> None:
                 trials = [decode_trial(t, pin) for t in wire_trials]
-                self._registry.enroll(
-                    user_id, pin, trials, (), shared_negatives=bank
-                )
+                self._registry.enroll(user_id, pin, trials, bank)
 
             await self._offload(train)
             # Success consumes the window and rotates credentials;

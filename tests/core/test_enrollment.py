@@ -11,6 +11,7 @@ from repro.core import (
     extract_fused_waveform,
     extract_segments,
     preprocess_trial,
+    preprocess_trials,
 )
 from repro.core.models import fixed_window
 from repro.data import StudyData, ThirdPartyStore
@@ -188,10 +189,8 @@ class TestSharedNegatives:
         return build_negative_bank(third_trials, options=options)
 
     @pytest.fixture(scope="class")
-    def shared_models(self, enroll_trials, third_trials, bank, options):
-        return enroll_models(
-            enroll_trials, third_trials, options=options, shared_negatives=bank
-        )
+    def shared_models(self, enroll_trials, bank, options):
+        return enroll_models(enroll_trials, bank, options=options)
 
     def test_bank_structure(self, bank, third_trials):
         assert bank.full.features.shape[0] == len(third_trials)
@@ -221,18 +220,12 @@ class TestSharedNegatives:
 
     def test_enroll_without_store_trials(self, enroll_trials, bank, options):
         """A bank replaces the raw store trials entirely."""
-        shared = enroll_models(
-            enroll_trials, [], options=options, shared_negatives=bank
-        )
+        shared = enroll_models(enroll_trials, bank, options=options)
         assert shared.full_model is not None
 
     def test_deterministic(self, enroll_trials, bank, options, data):
-        a = enroll_models(
-            enroll_trials, [], options=options, shared_negatives=bank
-        )
-        b = enroll_models(
-            enroll_trials, [], options=options, shared_negatives=bank
-        )
+        a = enroll_models(enroll_trials, bank, options=options)
+        b = enroll_models(enroll_trials, bank, options=options)
         probe = preprocess_trial(data.trials(5, PIN, "one_handed", 1)[0])
         waveform = extract_full_waveform(probe)
         assert np.array_equal(
@@ -244,9 +237,8 @@ class TestSharedNegatives:
         with pytest.raises(EnrollmentError):
             enroll_models(
                 enroll_trials,
-                [],
+                bank,
                 options=EnrollmentOptions(num_features=FEATURES * 2),
-                shared_negatives=bank,
             )
 
     def test_incompatible_config_rejected(self, enroll_trials, bank, options):
@@ -255,10 +247,9 @@ class TestSharedNegatives:
         with pytest.raises(EnrollmentError):
             enroll_models(
                 enroll_trials,
-                [],
+                bank,
                 config=PipelineConfig(detrend_lambda=5.0),
                 options=options,
-                shared_negatives=bank,
             )
 
     def test_manual_method_cannot_build_bank(self, third_trials):
@@ -270,10 +261,10 @@ class TestSharedNegatives:
                 options=EnrollmentOptions(feature_method="manual"),
             )
 
-    def test_fit_shared_requires_matching_method(self, bank):
+    def test_fit_on_shared_set_requires_matching_method(self, bank):
         model = WaveformModel(feature_method="raw")
         with pytest.raises(EnrollmentError):
-            model.fit_shared(np.zeros((2, 4, 90)), bank.full)
+            model.fit(np.zeros((2, 4, 90)), bank.full)
 
     def test_raw_method_bank(self, third_trials, enroll_trials):
         from repro.core import build_negative_bank
@@ -283,10 +274,101 @@ class TestSharedNegatives:
         )
         bank = build_negative_bank(third_trials, options=options)
         assert bank.full.extractor is None
-        shared = enroll_models(
-            enroll_trials, [], options=options, shared_negatives=bank
-        )
+        shared = enroll_models(enroll_trials, bank, options=options)
         assert shared.full_model is not None
+
+
+class TestNegativeSelection:
+    """One rule picks each model's negatives, through a bank or raw trials."""
+
+    @pytest.fixture(scope="class")
+    def store(self, data):
+        # Keys 1 and 2 appear in both PINs, 6 and 8 in one of them.
+        return (
+            ThirdPartyStore(data, [1, 2, 3], PIN).sample(6)
+            + ThirdPartyStore(data, [1, 2, 3], "7412").sample(6)
+        )
+
+    @pytest.fixture(scope="class")
+    def store_segments(self, store):
+        from repro.config import PipelineConfig
+        from repro.core.models import _collect_segments
+        from repro.core.negatives import MIN_SAME_KEY_NEGATIVES
+
+        by_key = _collect_segments(
+            preprocess_trials(store), PipelineConfig()
+        )
+        # The premise: "1" has its own set, "6" falls back to the pool.
+        assert len(by_key["1"]) >= MIN_SAME_KEY_NEGATIVES
+        assert len(by_key["6"]) < MIN_SAME_KEY_NEGATIVES
+        return by_key
+
+    @pytest.fixture(scope="class")
+    def options(self):
+        return EnrollmentOptions(num_features=FEATURES)
+
+    def test_bank_key_models_train_on_the_selected_sets(
+        self, store, store_segments, enroll_trials, options
+    ):
+        from repro.core import build_negative_bank
+
+        bank = build_negative_bank(store, options=options)
+        assert set(bank.key_sets) == {
+            key for key, segs in store_segments.items() if len(segs) >= 10
+        }
+        models = enroll_models(enroll_trials, bank, options=options)
+        assert models.key_models["1"]._rocket is bank.key_sets["1"].extractor
+        assert models.key_models["6"]._rocket is bank.key_fallback.extractor
+
+    @pytest.mark.parametrize("key", ["1", "6"])
+    def test_trial_key_models_train_on_the_selected_stacks(
+        self, store, store_segments, enroll_trials, options, key
+    ):
+        from repro.config import PipelineConfig
+        from repro.core.models import _collect_segments
+
+        models = enroll_models(enroll_trials, store, options=options)
+        positives = _collect_segments(
+            preprocess_trials(enroll_trials), PipelineConfig()
+        )[key]
+        expected = (
+            store_segments[key]
+            if key == "1"
+            else [s for segs in store_segments.values() for s in segs]
+        )
+        by_hand = WaveformModel(num_features=FEATURES, balanced=True).fit(
+            np.stack(positives), np.stack(expected)
+        )
+        trained = models.key_models[key]._classifier
+        assert np.array_equal(trained.coef_, by_hand._classifier.coef_)
+        assert trained.intercept_ == by_hand._classifier.intercept_
+
+    @pytest.mark.parametrize("path", ["trials", "bank"])
+    def test_privacy_boost_without_fused_negatives_is_typed(
+        self, store, enroll_trials, path
+    ):
+        # All-zero store trials have no detected keystroke to fuse.
+        import dataclasses
+
+        from repro.core import build_negative_bank
+
+        flat = [
+            dataclasses.replace(
+                t,
+                recording=t.recording.with_samples(
+                    np.zeros_like(t.recording.samples)
+                ),
+            )
+            for t in store[:6]
+        ]
+        options = EnrollmentOptions(num_features=FEATURES, privacy_boost=True)
+        negatives = (
+            build_negative_bank(flat, options=options)
+            if path == "bank"
+            else flat
+        )
+        with pytest.raises(EnrollmentError, match="fused negatives"):
+            enroll_models(enroll_trials, negatives, options=options)
 
 
 class TestEnrollmentQualityGate:

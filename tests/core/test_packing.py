@@ -292,11 +292,7 @@ class TestExtractorSharing:
         packs = []
         for user in (0, 1):
             auth = P2Auth(pin=PIN, options=options)
-            auth.enroll(
-                study_data.trials(user, PIN, "one_handed", 5),
-                store.sample(15),
-                shared_negatives=bank,
-            )
+            auth.enroll(study_data.trials(user, PIN, "one_handed", 5), bank)
             packs.append(pack_authenticator(auth))
         assert sorted(packs[0].extractors) == sorted(packs[1].extractors)
         for fingerprint, blob in packs[0].extractors.items():

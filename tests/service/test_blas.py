@@ -52,7 +52,7 @@ def _enroll(study_data, negative_bank):
         salt=bytes(16),
     )
     trials = study_data.trials(0, PIN, "one_handed", 7)
-    return auth.enroll(trials, (), shared_negatives=negative_bank)
+    return auth.enroll(trials, negative_bank)
 
 
 def test_thread_count_below_one_rejected():
