@@ -315,17 +315,20 @@ def _gate_passing_trials(
 def _build_service(args: argparse.Namespace) -> "AuthService":
     """The service ``serve`` runs: registry, negative bank and users.
 
-    Two simulated donors supply the server-side negative corpus. It is
-    preprocessed and featurized once, into the bank that every
-    enrollment trains against (wire and ``--synthetic`` alike), so
-    enrollments add one record each and no extractor beyond the bank's.
+    Two simulated donors supply the server-side negative corpus: each
+    types every PIN of ``PAPER_PINS``, which between them hold each
+    digit twice, so the bank has a same-key set for every digit a
+    minted PIN can hold. The corpus is preprocessed and featurized
+    once, into the bank that every enrollment trains against (wire and
+    ``--synthetic`` alike), so enrollments add one record each and no
+    extractor beyond the bank's.
 
     BLAS runs on one thread from here on: the ``--workers`` engine pool
     is the server's parallelism, and a ridge fit's helper threads would
     only busy-wait beside it (``repro.blas``).
     """
     from .blas import set_blas_threads
-    from .config import PipelineConfig
+    from .config import PAPER_PINS, PipelineConfig
     from .core import EnrollmentOptions, ModelRegistry, build_negative_bank
     from .data import StudyData
     from .service import AuthService
@@ -347,7 +350,6 @@ def _build_service(args: argparse.Namespace) -> "AuthService":
 
     n = args.synthetic or 0
     pin = args.pin
-    n_trials = 9
     data = StudyData(n_users=n + 2, seed=args.seed or 0)
 
     # The last two simulated users are donors, never enrolled themselves.
@@ -358,7 +360,8 @@ def _build_service(args: argparse.Namespace) -> "AuthService":
     donors = [
         t
         for v in (n, n + 1)
-        for t in _gate_passing_trials(data, v, pin, n_trials, config, options)
+        for donor_pin in PAPER_PINS
+        for t in _gate_passing_trials(data, v, donor_pin, 3, config, options)
     ]
     bank = build_negative_bank(donors, config, options)
 
@@ -378,7 +381,7 @@ def _build_service(args: argparse.Namespace) -> "AuthService":
         )
         for u in range(n):
             uid = f"u{u:07d}"
-            trials = _gate_passing_trials(data, u, pin, n_trials, config, options)
+            trials = _gate_passing_trials(data, u, pin, 9, config, options)
             registry.enroll(uid, pin, trials, bank)
             service.adopt_user(uid, pin)
     elif args.packed:

@@ -235,32 +235,17 @@ def authenticator_meta(auth: P2Auth) -> Dict[str, Any]:
     salted PIN digest, and the degradation policy.
     """
     models = auth.models  # raises EnrollmentError when not enrolled
-    options = models.options
     return {
         "no_pin_mode": auth.no_pin_mode,
         "pin_salt": auth._pin._salt.hex(),
         "pin_digest": auth._pin._digest.hex() if auth._pin._digest else None,
-        "pipeline": {
-            "fs": models.config.fs,
-            "median_kernel": models.config.median_kernel,
-            "sg_window": models.config.sg_window,
-            "sg_polyorder": models.config.sg_polyorder,
-            "calibration_window": models.config.calibration_window,
-            "detrend_lambda": models.config.detrend_lambda,
-            "energy_window": models.config.energy_window,
-            "energy_threshold_ratio": models.config.energy_threshold_ratio,
-            "segment_window": models.config.segment_window,
-        },
+        "pipeline": dataclasses.asdict(models.config),
+        # Every option but the classifier factory, a callable: records
+        # hold ridge models only (_require_rocket_ridge).
         "options": {
-            "privacy_boost": options.privacy_boost,
-            "num_features": options.num_features,
-            "full_window": options.full_window,
-            "full_margin": options.full_margin,
-            "feature_method": options.feature_method,
-            "seed": options.seed,
-            "min_positive_samples": options.min_positive_samples,
-            "quality_gate": options.quality_gate,
-            "min_quality_artifact_ratio": options.min_quality_artifact_ratio,
+            f.name: getattr(models.options, f.name)
+            for f in dataclasses.fields(models.options)
+            if f.name != "classifier_factory"
         },
         "policy": (
             dataclasses.asdict(auth.policy) if auth.policy is not None else None

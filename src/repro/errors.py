@@ -144,6 +144,12 @@ class ProtocolError(P2AuthError):
     code: ClassVar[str] = "protocol_error"
 
 
+class PayloadTooLargeError(ProtocolError):
+    """A request declared a body larger than the server accepts."""
+
+    code: ClassVar[str] = "payload_too_large"
+
+
 class ProofError(P2AuthError):
     """A PIN proof or enrollment window check failed.
 
@@ -181,13 +187,15 @@ class ConcurrencyError(P2AuthError):
 #: over the taxonomy by ``tests/test_errors.py``).
 #:
 #: Semantics: client mistakes are 4xx — malformed requests 400, unknown
-#: users 404, failed proofs 403, unusable-but-well-formed signals 422
+#: users 404, failed proofs 403, oversized bodies 413,
+#: unusable-but-well-formed signals 422
 #: ("refused, retry with a cleaner capture"), throttling 429 — while
 #: anything the client cannot fix by changing the request is a 500.
 HTTP_STATUS_BY_ERROR: Dict[Type[P2AuthError], int] = {  # concurrency: immutable-after-init
     P2AuthError: 500,
     ConfigurationError: 400,
     ProtocolError: 400,
+    PayloadTooLargeError: 413,
     ProofError: 403,
     SignalError: 422,
     SegmentationError: 422,

@@ -11,13 +11,13 @@ Three layers, each usable without the ones above it:
   validation and the PIN-proof enrollment/authentication crypto
   (HMAC-SHA256 proofs, single-use time-bounded windows; the raw PIN
   never crosses the wire).
-- :mod:`repro.service.http` — a stdlib ASGI adapter exposing enroll /
-  authenticate / session / registry-admin / stats endpoints, plus a
-  minimal asyncio HTTP/1.1 server (``python -m repro serve``).
+- :mod:`repro.service.http` — a minimal asyncio HTTP/1.1 server
+  exposing enroll / authenticate / session / registry-admin / stats
+  endpoints (``python -m repro serve``).
 """
 
 from .core import AuthService, EnrollmentWindow
-from .http import make_app, serve
+from .http import serve
 from .protocol import (
     AuthRequest,
     AuthResponse,
@@ -39,7 +39,6 @@ __all__ = [
     "EnrollmentWindow",
     "decode_trial",
     "encode_trial",
-    "make_app",
     "pin_proof",
     "serve",
 ]

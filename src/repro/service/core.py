@@ -1,7 +1,7 @@
 """Transport-agnostic async service core over the model registry.
 
-:class:`AuthService` is the facade every transport adapter (the stdlib
-ASGI app, tests, the load harness) talks to. It owns:
+:class:`AuthService` is the facade every transport (the stdlib HTTP
+server, tests, the load harness) talks to. It owns:
 
 - a :class:`~repro.core.registry.ModelRegistry` — the thread-safe
   template store and engine host;

@@ -1,12 +1,12 @@
-"""Stdlib ASGI adapter and a minimal asyncio HTTP/1.1 server.
+"""A minimal asyncio HTTP/1.1 server over the service core.
 
-:func:`make_app` wraps an :class:`~repro.service.core.AuthService` in a
-plain ASGI 3 application — any ASGI server (uvicorn, hypercorn) can
-host it, but none is required: :func:`serve` runs the same app on a
+:func:`serve` runs an :class:`~repro.service.core.AuthService` on a
 small ``asyncio.start_server`` HTTP/1.1 loop with keep-alive, which is
-what ``python -m repro serve`` and the load harness use. It closes a
+what ``python -m repro serve`` and the load harness run. It closes a
 connection that does not send a whole request within
-:data:`IDLE_TIMEOUT_S` of waiting for one.
+:data:`IDLE_TIMEOUT_S` of waiting for one, answers a declared body
+over :data:`MAX_BODY_BYTES` with 413 before reading it, and closes
+every open connection when it stops.
 
 Routes (all bodies JSON):
 
@@ -40,10 +40,11 @@ import asyncio
 import json
 import logging
 import math
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
     P2AuthError,
+    PayloadTooLargeError,
     ProtocolError,
     http_status_for,
     retry_after_s,
@@ -213,81 +214,6 @@ def _method_not_allowed(allowed: str) -> _HttpResult:
 
 
 # ---------------------------------------------------------------------------
-# ASGI 3 application
-# ---------------------------------------------------------------------------
-
-
-def make_app(
-    service: AuthService,
-) -> Callable[[Dict[str, Any], Callable, Callable], Awaitable[None]]:
-    """An ASGI 3 app over ``service`` (http + lifespan scopes)."""
-
-    async def app(
-        scope: Dict[str, Any],
-        receive: Callable[[], Awaitable[Dict[str, Any]]],
-        send: Callable[[Dict[str, Any]], Awaitable[None]],
-    ) -> None:
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-            return
-        if scope["type"] != "http":
-            raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
-
-        chunks: List[bytes] = []
-        total = 0
-        too_large = False
-        while True:
-            message = await receive()
-            if message["type"] == "http.disconnect":
-                return
-            chunk = message.get("body", b"")
-            total += len(chunk)
-            if total > MAX_BODY_BYTES:
-                too_large = True
-            elif chunk:
-                chunks.append(chunk)
-            if not message.get("more_body", False):
-                break
-
-        if too_large:
-            result = _HttpResult(
-                413,
-                {
-                    "error": {
-                        "code": "payload_too_large",
-                        "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                    }
-                },
-            )
-        else:
-            result = await _dispatch(
-                service, scope["method"].upper(), scope["path"], b"".join(chunks)
-            )
-
-        payload = json.dumps(result.body).encode("utf-8")
-        headers = [
-            (b"content-type", b"application/json"),
-            (b"content-length", str(len(payload)).encode("ascii")),
-        ] + [(k.encode("ascii"), v.encode("ascii")) for k, v in result.headers]
-        await send(
-            {
-                "type": "http.response.start",
-                "status": result.status,
-                "headers": headers,
-            }
-        )
-        await send({"type": "http.response.body", "body": payload})
-
-    return app
-
-
-# ---------------------------------------------------------------------------
 # Minimal asyncio HTTP/1.1 server (no external dependencies)
 # ---------------------------------------------------------------------------
 
@@ -379,9 +305,11 @@ async def _read_request(
     # ASCII digits only: int() alone takes "+5" and "1_000", isdigit()
     # alone "\u00b2". 18 digits are far past MAX_BODY_BYTES already.
     raw = headers.get("content-length", "0")
-    length = int(raw) if raw.isascii() and raw.isdigit() and len(raw) <= 18 else -1
-    if not 0 <= length <= MAX_BODY_BYTES:
+    if not (raw.isascii() and raw.isdigit() and len(raw) <= 18):
         raise ProtocolError(f"unacceptable content-length {raw[:32]!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise PayloadTooLargeError(f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     idle.disarm()
     if idle.closed():
@@ -455,17 +383,37 @@ async def serve(
     hook tests and the load harness use it to avoid polling. Pass
     ``port=0`` to bind an ephemeral port; the bound address is stored
     on ``ready.address`` when an event is supplied.
+
+    Cancelling it closes every open connection and waits for their
+    handlers to return (a request being served finishes first), so
+    none is left for the event loop to cancel on its way down.
     """
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
-    )
+    connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
+
+    async def connection(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        connections[task] = writer
+        try:
+            await _handle_connection(service, reader, writer)
+        finally:
+            del connections[task]
+
+    server = await asyncio.start_server(connection, host, port)
     if ready is not None:
         # Stashing the bound (host, port) on the event is the simplest
         # handshake that needs no extra queue plumbing.
         ready.address = server.sockets[0].getsockname()[:2]  # type: ignore[attr-defined]
         ready.set()
-    async with server:
-        await server.serve_forever()
+    try:
+        async with server:
+            await server.serve_forever()
+    finally:
+        for writer in connections.values():
+            writer.close()
+        await asyncio.gather(*connections, return_exceptions=True)
 
 
-__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "MAX_HEADERS", "make_app", "serve"]
+__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "MAX_HEADERS", "serve"]

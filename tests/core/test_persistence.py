@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.config import PipelineConfig
 from repro.core import (
     DegradationPolicy,
     EnrollmentOptions,
@@ -109,6 +110,40 @@ class TestSaveLoad:
             restored.authenticate(probe).accepted
             == enrolled_auth_boost.authenticate(probe).accepted
         )
+
+    def test_every_persisted_field_round_trips(self, study_data, tmp_path):
+        # Each field off its default, so one the record drops reloads
+        # as the default and shows here.
+        config = PipelineConfig(
+            median_kernel=7,
+            sg_window=13,
+            sg_polyorder=2,
+            calibration_window=28,
+            detrend_lambda=40.0,
+            energy_window=18,
+            energy_threshold_ratio=0.45,
+            segment_window=88,
+        )
+        options = EnrollmentOptions(
+            privacy_boost=True,
+            num_features=FEATURES,
+            full_window=470,
+            full_margin=40,
+            seed=3,
+            min_positive_samples=2,
+            quality_gate=False,
+            min_quality_artifact_ratio=2.5,
+        )
+        auth = P2Auth(pin=PIN, pipeline_config=config, options=options)
+        auth.enroll(
+            study_data.trials(0, PIN, "one_handed", 5),
+            ThirdPartyStore(study_data, [1, 2, 3], PIN).sample(15),
+        )
+        path = tmp_path / "fields.p2a"
+        save_authenticator(auth, path)
+        restored = load_authenticator(path)
+        assert restored.config == config
+        assert restored.options == options
 
 
     @pytest.mark.parametrize("missing", ["record", "extractor"])

@@ -11,7 +11,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Any, AsyncIterator, Optional, Tuple
+import logging
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -26,6 +27,29 @@ PIN = "1628"
 
 #: Small feature budget keeping model fits fast.
 FEATURES = 840
+
+
+class _Records(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: List[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_asyncio_errors():
+    """Fail a test during which the event loop logged an error, such as
+    a connection task that ended by cancellation."""
+    handler = _Records()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    assert not handler.records, [r.getMessage() for r in handler.records]
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +130,15 @@ async def exchange(
     the connection without answering. ``half_close`` shuts the write
     side after sending, as a client that has nothing more to say.
     """
+    reply = await exchange_with_headers(address, raw, half_close)
+    return None if reply is None else reply[:2]
+
+
+async def exchange_with_headers(
+    address: Tuple[str, int], raw: bytes, half_close: bool = False
+) -> Optional[Tuple[int, Any, Dict[str, str]]]:
+    """:func:`exchange`, returning ``(status, json_body, headers)``
+    with lower-cased header names."""
     reader, writer = await asyncio.open_connection(*address)
     try:
         writer.write(raw)
@@ -118,13 +151,15 @@ async def exchange(
             assert err.partial == b"", f"truncated response {err.partial!r}"
             return None
         lines = head.decode("latin-1").split("\r\n")
-        headers = dict(
-            line.lower().split(": ", 1) for line in lines[1:] if line
-        )
+        headers = {
+            name.lower(): value
+            for name, _, value in (line.partition(": ") for line in lines[1:])
+            if name
+        }
         body = await asyncio.wait_for(
             reader.readexactly(int(headers["content-length"])), 5
         )
-        return int(lines[0].split(" ")[1]), json.loads(body)
+        return int(lines[0].split(" ")[1]), json.loads(body), headers
     finally:
         writer.close()
         with contextlib.suppress(ConnectionResetError, BrokenPipeError):

@@ -1,4 +1,4 @@
-"""ASGI adapter and HTTP server: routing, error mapping, wire hygiene."""
+"""HTTP server: routing, error mapping, wire hygiene, socket handling."""
 
 from __future__ import annotations
 
@@ -9,129 +9,92 @@ import logging
 import pytest
 
 from repro.core.session import RetryPolicy
-from repro.service import AuthService, encode_trial, make_app, pin_proof
+from repro.service import AuthService, encode_trial, pin_proof
 from repro.service import http as service_http
-from repro.service.http import MAX_HEADERS, serve
+from repro.service.http import MAX_BODY_BYTES, MAX_HEADERS, serve
 from repro.service.protocol import MAX_TOKEN_CHARS, make_nonce
 
-from .conftest import PIN, exchange, live_server
+from .conftest import PIN, exchange, exchange_with_headers, live_server
 
 
-def call_app(app, method, path, body=None):
-    """Drive the ASGI app once in-memory; returns (status, json, headers)."""
+def send_raw(service, raw):
+    """Send ``raw`` to a live server over ``service``; returns
+    ``(status, json, headers)``."""
 
     async def run():
-        sent = []
-        incoming = [
-            {
-                "type": "http.request",
-                "body": body if body is not None else b"",
-                "more_body": False,
-            }
-        ]
+        async with live_server(service) as address:
+            return await exchange_with_headers(address, raw)
 
-        async def receive():
-            return incoming.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        await app({"type": "http", "method": method, "path": path}, receive, send)
-        return sent
-
-    sent = asyncio.run(run())
-    start = next(m for m in sent if m["type"] == "http.response.start")
-    payload = b"".join(
-        m.get("body", b"") for m in sent if m["type"] == "http.response.body"
-    )
-    headers = {k.decode(): v.decode() for k, v in start["headers"]}
-    return start["status"], json.loads(payload), headers
+    return asyncio.run(run())
 
 
-def post_json(app, path, obj):
-    return call_app(app, "POST", path, json.dumps(obj).encode())
+def call_app(service, method, path, body=b""):
+    """One request to a live server; returns (status, json, headers)."""
+    head = f"{method} {path} HTTP/1.1\r\ncontent-length: {len(body)}\r\n\r\n"
+    return send_raw(service, head.encode() + body)
 
 
-@pytest.fixture()
-def app(service):
-    return make_app(service)
+def post_json(service, path, obj):
+    return call_app(service, "POST", path, json.dumps(obj).encode())
 
 
 class TestRouting:
-    def test_health(self, app):
-        status, body, headers = call_app(app, "GET", "/v1/health")
+    def test_health(self, service):
+        status, body, headers = call_app(service, "GET", "/v1/health")
         assert status == 200 and body == {"status": "ok"}
         assert headers["content-type"] == "application/json"
 
-    def test_unknown_route_is_404(self, app):
-        status, body, _ = call_app(app, "GET", "/v1/nope")
+    def test_unknown_route_is_404(self, service):
+        status, body, _ = call_app(service, "GET", "/v1/nope")
         assert status == 404 and body["error"]["code"] == "not_found"
 
-    def test_wrong_method_is_405_with_allow(self, app):
-        status, body, headers = call_app(app, "GET", "/v1/auth")
+    def test_wrong_method_is_405_with_allow(self, service):
+        status, body, headers = call_app(service, "GET", "/v1/auth")
         assert status == 405
         assert body["error"]["code"] == "method_not_allowed"
         assert headers["allow"] == "POST"
 
-    def test_bad_json_is_400_protocol_error(self, app):
-        status, body, _ = call_app(app, "POST", "/v1/auth", b"{nope")
+    def test_bad_json_is_400_protocol_error(self, service):
+        status, body, _ = call_app(service, "POST", "/v1/auth", b"{nope")
         assert status == 400 and body["error"]["code"] == "protocol_error"
 
-    def test_deeply_nested_json_is_400_not_500(self, app):
+    def test_deeply_nested_json_is_400_not_500(self, service):
         # 200 KB nested 100,000 deep: json.loads hits RecursionError.
         body = b"[" * 100_000 + b"]" * 100_000
-        status, payload, _ = call_app(app, "POST", "/v1/auth", body)
+        status, payload, _ = call_app(service, "POST", "/v1/auth", body)
         assert status == 400 and payload["error"]["code"] == "protocol_error"
 
-    def test_unknown_field_is_400(self, app):
-        status, body, _ = post_json(app, "/v1/enroll/begin", {"user": "x"})
+    def test_unknown_field_is_400(self, service):
+        status, body, _ = post_json(service, "/v1/enroll/begin", {"user": "x"})
         assert status == 400 and body["error"]["code"] == "protocol_error"
 
-    def test_admin_users(self, app):
-        status, body, _ = call_app(app, "GET", "/v1/admin/users")
+    def test_admin_users(self, service):
+        status, body, _ = call_app(service, "GET", "/v1/admin/users")
         assert status == 200 and set(body["users"]) >= {"u0", "u1"}
 
-    def test_admin_stats(self, app):
-        status, body, _ = call_app(app, "GET", "/v1/admin/stats")
+    def test_admin_stats(self, service):
+        status, body, _ = call_app(service, "GET", "/v1/admin/stats")
         assert status == 200
         assert set(body) == {"registry", "service", "sessions", "config"}
         assert "capacity" in body["registry"]
 
-    def test_payload_too_large(self, app, monkeypatch):
-        monkeypatch.setattr("repro.service.http.MAX_BODY_BYTES", 64)
-        status, body, _ = call_app(app, "POST", "/v1/auth", b"x" * 65)
+    def test_payload_too_large(self, service):
+        # Answered from the head alone: the server never waits for a
+        # body it would refuse.
+        status, body, _ = send_raw(
+            service,
+            b"POST /v1/auth HTTP/1.1\r\n"
+            + f"content-length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+        )
         assert status == 413
         assert body["error"]["code"] == "payload_too_large"
 
-    def test_lifespan_completes(self, app):
-        async def run():
-            sent = []
-            incoming = [
-                {"type": "lifespan.startup"},
-                {"type": "lifespan.shutdown"},
-            ]
-
-            async def receive():
-                return incoming.pop(0)
-
-            async def send(message):
-                sent.append(message)
-
-            await app({"type": "lifespan"}, receive, send)
-            return sent
-
-        sent = asyncio.run(run())
-        assert [m["type"] for m in sent] == [
-            "lifespan.startup.complete",
-            "lifespan.shutdown.complete",
-        ]
-
 
 class TestErrorMapping:
-    def test_unknown_user_is_404(self, app, probes):
+    def test_unknown_user_is_404(self, service, probes):
         nonce = make_nonce()
         status, body, _ = post_json(
-            app,
+            service,
             "/v1/auth",
             {
                 "user_id": "ghost",
@@ -142,7 +105,7 @@ class TestErrorMapping:
         )
         assert status == 404 and body["error"]["code"] == "unknown_user"
 
-    def test_replayed_nonce_is_403(self, app, probes):
+    def test_replayed_nonce_is_403(self, service, probes):
         nonce = make_nonce()
         req = {
             "user_id": "u0",
@@ -150,19 +113,19 @@ class TestErrorMapping:
             "proof": pin_proof(PIN, "u0", nonce),
             "trial": encode_trial(probes["legit"][0]),
         }
-        status, _, _ = post_json(app, "/v1/auth", req)
+        status, _, _ = post_json(service, "/v1/auth", req)
         assert status == 200
-        status, body, _ = post_json(app, "/v1/auth", req)
+        status, body, _ = post_json(service, "/v1/auth", req)
         assert status == 403 and body["error"]["code"] == "proof_rejected"
 
-    def test_keystroke_time_outside_recording_is_400(self, app, probes):
+    def test_keystroke_time_outside_recording_is_400(self, service, probes):
         # With a valid proof, the engine would clamp the time onto the
         # recording's last sample and score the probe.
         nonce = make_nonce()
         trial = encode_trial(probes["legit"][0])
         trial["events"][0]["reported_time"] = 1e9
         status, body, _ = post_json(
-            app,
+            service,
             "/v1/auth",
             {
                 "user_id": "u0",
@@ -186,7 +149,7 @@ class TestErrorMapping:
              "nonce-129-chars", "enroll-nonce-latin1"],
     )
     def test_malformed_proof_or_nonce_is_400(
-        self, app, probes, caplog, path, field, value
+        self, service, probes, caplog, path, field, value
     ):
         # hmac raises TypeError or UnicodeEncodeError on such strings,
         # so the parser has to refuse them before any proof check.
@@ -202,7 +165,7 @@ class TestErrorMapping:
         else:
             req["trials"] = [encode_trial(probes["legit"][0])]
         with caplog.at_level(logging.DEBUG, logger="repro.service.http"):
-            status, body, _ = post_json(app, path, req)
+            status, body, _ = post_json(service, path, req)
         assert status == 400 and body["error"]["code"] == "protocol_error"
         assert [r for r in caplog.records if r.name.startswith("repro")] == []
 
@@ -212,7 +175,6 @@ class TestErrorMapping:
             retry=RetryPolicy(max_failures=3, backoff_base_s=30.0),
         )
         svc.adopt_user("u0", PIN)
-        app = make_app(svc)
         try:
             def bad():
                 nonce = make_nonce()
@@ -223,9 +185,9 @@ class TestErrorMapping:
                     "trial": encode_trial(probes["legit"][0]),
                 }
 
-            status, body, _ = post_json(app, "/v1/auth", bad())
+            status, body, _ = post_json(svc, "/v1/auth", bad())
             assert status == 200 and not body["accepted"]
-            status, body, headers = post_json(app, "/v1/auth", bad())
+            status, body, headers = post_json(svc, "/v1/auth", bad())
             assert status == 429
             assert body["error"]["code"] == "retry_backoff"
             assert 1 <= int(headers["retry-after"]) <= 30
@@ -254,11 +216,10 @@ class TestCorruptRecord:
             + header
         )
         registry.evict("u0")
-        app = make_app(svc)
         try:
             nonce = make_nonce()
             status, body, _ = post_json(
-                app,
+                svc,
                 "/v1/auth",
                 {
                     "user_id": "u0",
@@ -282,9 +243,10 @@ class _FaultyService:
 
 class TestInternalErrors:
     def test_500_hides_exception_text_and_logs_it(self, caplog):
-        app = make_app(_FaultyService())
         with caplog.at_level(logging.ERROR, logger="repro.service.http"):
-            status, body, _ = call_app(app, "GET", "/v1/admin/stats")
+            status, body, _ = call_app(
+                _FaultyService(), "GET", "/v1/admin/stats"
+            )
         assert status == 500
         assert body["error"]["code"] == "internal"
         raw = json.dumps(body)
@@ -338,12 +300,11 @@ class TestWireHygiene:
             options=EnrollmentOptions(num_features=840)
         )
         svc = AuthService(registry, shared_negatives=negative_bank)
-        app = make_app(svc)
         captured_requests = []
 
         def post(path, obj):
             captured_requests.append((path, obj))
-            return call_app(app, "POST", path, json.dumps(obj).encode())
+            return post_json(svc, path, obj)
 
         try:
             status, begin, _ = post("/v1/enroll/begin", {"user_id": "alice"})

@@ -185,7 +185,39 @@ class TestServeStore:
             service.close()
         sets = [bank.full, bank.fused, bank.key_fallback, *bank.key_sets.values()]
         bank_fps = {encode_extractor(s.extractor)[0] for s in sets if s is not None}
-        assert len(bank_fps) <= 6
+        assert len(bank_fps) == 12  # full, pooled fallback, ten digits
         stored = {p.stem for p in (tmp_path / "extractors").glob("*.p2x")}
         assert stored and stored <= bank_fps
         assert sorted(ShardedPackedBackend(tmp_path).user_ids()) == users
+
+    def test_bank_has_a_key_set_for_every_digit(self, tmp_path):
+        # Wire enrollment mints random PINs, so the donors type every
+        # digit often enough for its own same-key set.
+        from repro.cli import _build_service
+
+        args = build_parser().parse_args(
+            ["serve", "--packed", str(tmp_path), "--features", "840"]
+        )
+        service = _build_service(args)
+        service.close()
+        assert sorted(service._shared_negatives.key_sets) == list("0123456789")
+
+    def test_key_models_train_on_their_own_digit(self, tmp_path, study_data):
+        from repro.cli import _build_service, _gate_passing_trials
+
+        args = build_parser().parse_args(
+            ["serve", "--packed", str(tmp_path), "--features", "840"]
+        )
+        service = _build_service(args)
+        try:
+            registry = service.registry
+            bank = service._shared_negatives
+            trials = _gate_passing_trials(
+                study_data, 0, "3579", 7, registry.config, registry.options
+            )
+            auth = registry.enroll("p3579", "3579", trials, bank)
+        finally:
+            service.close()
+        assert sorted(auth.models.key_models) == list("3579")
+        for key, model in auth.models.key_models.items():
+            assert model._rocket is bank.key_sets[key].extractor
