@@ -193,11 +193,10 @@ class FeatureCache:
         trials: Sequence[PinEntryTrial],
         config: Optional[PipelineConfig] = None,
     ) -> List[PreprocessedTrial]:
-        """Cached, batched :func:`preprocess_trials`.
+        """Cached :func:`preprocess_trials`.
 
-        Misses are preprocessed together in one batched call (so they
-        still share the stacked detrend solve); hits are returned from
-        the LRU untouched.
+        Misses are preprocessed outside the lock, one trial at a time;
+        hits are returned from the LRU untouched.
         """
         if config is None:
             config = PipelineConfig()
@@ -215,7 +214,7 @@ class FeatureCache:
                     self._stats.trial_misses += 1
                     missing.append(idx)
         if missing:
-            # The batched solve runs unlocked; only the publication is
+            # Preprocessing runs unlocked; only the publication is
             # locked, re-checking so a racing filler's entry stays
             # canonical (the content key guarantees equal values).
             fresh = preprocess_trials([trials[idx] for idx in missing], config)

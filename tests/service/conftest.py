@@ -12,7 +12,7 @@ import asyncio
 import contextlib
 import json
 import logging
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 import pytest
 
@@ -29,27 +29,17 @@ PIN = "1628"
 FEATURES = 840
 
 
-class _Records(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__(logging.ERROR)
-        self.records: List[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
 @pytest.fixture(autouse=True)
-def no_asyncio_errors():
+def no_asyncio_errors(caplog):
     """Fail a test during which the event loop logged an error, such as
     a connection task that ended by cancellation."""
-    handler = _Records()
-    logger = logging.getLogger("asyncio")
-    logger.addHandler(handler)
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-    assert not handler.records, [r.getMessage() for r in handler.records]
+    yield
+    errors = [
+        r.getMessage()
+        for r in caplog.get_records("call")
+        if r.name == "asyncio" and r.levelno >= logging.ERROR
+    ]
+    assert not errors, errors
 
 
 @pytest.fixture(scope="session")
