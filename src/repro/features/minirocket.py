@@ -110,6 +110,44 @@ def _golden_quantiles(n: int) -> np.ndarray:
     return np.mod(phi * np.arange(1, n + 1), 1.0)
 
 
+def _row_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each row's own quantiles: ``out[k] == np.quantile(rows[k], q[k])``.
+
+    One sort of every row, then NumPy's ``method="linear"`` arithmetic
+    on each (row, quantile): the virtual index ``(n - 1) * q``, its
+    floor and floor + 1 (clipped to the last element), and
+    ``a + (b - a) * g``, replaced by ``b - (b - a) * (1 - g)`` where
+    ``g >= 0.5``. A row holding NaN yields NaN throughout, as
+    ``np.quantile`` does.
+
+    The result equals the per-row ``np.quantile`` calls bit for bit,
+    except for the sign of a zero: a sort and ``np.quantile``'s
+    partition may order tied ``+0.0`` and ``-0.0`` differently. No PPV
+    feature can tell, because ``x > -0.0`` exactly when ``x > 0.0``.
+
+    Args:
+        rows: array of shape ``(k, n)``.
+        q: quantiles in ``[0, 1]``, shape ``(k, m)``.
+
+    Returns:
+        Array of shape ``(k, m)``.
+    """
+    n = rows.shape[1]
+    ordered = np.sort(rows, axis=1)
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lower = below.astype(np.intp)
+    a = np.take_along_axis(ordered, lower, axis=1)
+    b = np.take_along_axis(ordered, np.minimum(lower + 1, n - 1), axis=1)
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    last = ordered[:, -1:]
+    np.copyto(out, last, where=np.isnan(last))
+    return out
+
+
 def _fit_dilations(
     input_length: int, num_features: int, max_dilations_per_kernel: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,11 +329,13 @@ class MiniRocket:
         """Fix dilations and biases from training data.
 
         All 84 kernel convolutions of the training example are gathered
-        at once and their bias quantiles come from a single batched
-        ``np.quantile`` call per (channel, dilation) — no per-kernel
-        Python loop — with the same floating-point operation order as
-        the original per-kernel loop, so the fitted biases are
-        bit-identical to it.
+        at once, and each kernel's bias quantiles come from one sort of
+        those 84 rows per (channel, dilation) with NumPy's linear
+        quantile arithmetic (:func:`_row_quantiles`) — no per-kernel
+        Python loop. The convolution keeps the original per-kernel
+        loop's operation order, so the fitted biases equal that loop's
+        ``np.quantile`` calls bit for bit (up to the sign of a zero,
+        which no PPV feature sees).
 
         Args:
             x: training series, shape ``(n, length)`` or
@@ -328,15 +368,9 @@ class MiniRocket:
                     (stack[_TAP_A] + stack[_TAP_B]) + stack[_TAP_C]
                 )
                 conv = conv.reshape(NUM_KERNELS, length)
-                # One np.quantile call evaluates every requested
-                # quantile on every kernel row; keep each kernel's own
-                # quantiles (the "diagonal" of that grid).
-                grid = np.quantile(conv, quantiles.ravel(), axis=1)
-                rows = np.arange(NUM_KERNELS * n_feat)
-                kernel_biases = grid[
-                    rows, np.repeat(np.arange(NUM_KERNELS), n_feat)
-                ].reshape(NUM_KERNELS, n_feat)
-                channel_biases.append(kernel_biases)
+                # Kernel k's biases are its own quantiles, quantiles[k],
+                # of its own convolution row; one sort serves all 84.
+                channel_biases.append(_row_quantiles(conv, quantiles))
             biases.append(channel_biases)
 
         self._biases = biases

@@ -5,8 +5,10 @@ small ``asyncio.start_server`` HTTP/1.1 loop with keep-alive, which is
 what ``python -m repro serve`` and the load harness run. It closes a
 connection that does not send a whole request within
 :data:`IDLE_TIMEOUT_S` of waiting for one, answers a declared body
-over :data:`MAX_BODY_BYTES` with 413 before reading it, and closes
-every open connection when it stops.
+over :data:`MAX_BODY_BYTES` with 413 before reading it, drains what
+the client still sends after an error that ends its connection so the
+response is not lost to a reset, and closes every open connection
+when it stops.
 
 Routes (all bodies JSON):
 
@@ -67,6 +69,14 @@ MAX_HEADERS = 100
 #: byte before the server closes it. Serving a request never counts
 #: toward it.
 IDLE_TIMEOUT_S = 60.0
+
+#: After an error response that ends a connection, the server reads and
+#: drops up to this many bytes the peer still sends, for at most
+#: :data:`DISCARD_TIMEOUT_S`, before it closes. Closing over unread
+#: input makes the kernel send a reset, which can reach the client
+#: before it has read the response.
+DISCARD_MAX_BYTES = 8 * 1024 * 1024
+DISCARD_TIMEOUT_S = 2.0
 
 _REASONS = {  # concurrency: immutable-after-init
     200: "OK",
@@ -334,6 +344,25 @@ def _render_response(result: _HttpResult, keep_alive: bool) -> bytes:
     return head + payload
 
 
+async def _discard_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drop what the peer still sends until it closes,
+    :data:`DISCARD_MAX_BYTES` are read or :data:`DISCARD_TIMEOUT_S`
+    pass, whichever comes first."""
+    writer.write_eof()
+    left = DISCARD_MAX_BYTES
+    try:
+        async with asyncio.timeout(DISCARD_TIMEOUT_S):
+            while left > 0:
+                chunk = await reader.read(min(left, 64 * 1024))
+                if not chunk:
+                    return
+                left -= len(chunk)
+    except TimeoutError:
+        pass
+
+
 async def _handle_connection(
     service: AuthService,
     reader: asyncio.StreamReader,
@@ -347,6 +376,7 @@ async def _handle_connection(
             except ProtocolError as err:
                 writer.write(_render_response(_error_result(err), False))
                 await writer.drain()
+                await _discard_input(reader, writer)
                 return
             except asyncio.IncompleteReadError:
                 return
@@ -416,4 +446,11 @@ async def serve(
         await asyncio.gather(*connections, return_exceptions=True)
 
 
-__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "MAX_HEADERS", "serve"]
+__all__ = [
+    "DISCARD_MAX_BYTES",
+    "DISCARD_TIMEOUT_S",
+    "IDLE_TIMEOUT_S",
+    "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "serve",
+]

@@ -454,6 +454,26 @@ class TestSocketServer:
         assert status == 400
         assert payload["error"]["code"] == "protocol_error"
 
+    def test_payload_too_large_reaches_a_client_mid_body(
+        self, service, monkeypatch
+    ):
+        # The client has sent 4 MiB of its body before it reads: the
+        # server must not close over that unread input, or the kernel
+        # resets the connection before the 413 is read.
+        monkeypatch.setattr(service_http, "MAX_BODY_BYTES", 1024)
+        request = (
+            b"POST /v1/auth HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n"
+            + b"x" * (4 * 1024 * 1024)
+        )
+
+        async def run():
+            async with live_server(service) as address:
+                return await exchange(address, request)
+
+        status, payload = asyncio.run(run())
+        assert status == 413
+        assert payload["error"]["code"] == "payload_too_large"
+
     @pytest.mark.parametrize(
         "count, status, code",
         [(MAX_HEADERS, 200, None), (MAX_HEADERS + 1, 400, "protocol_error")],
