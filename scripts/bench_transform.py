@@ -2,8 +2,10 @@
 """Benchmark the MiniRocket transform engines and write BENCH_minirocket.json.
 
 Times ``fit`` and ``transform`` at the paper's shapes (90-sample
-keystroke segments, 1 and 4 PPG channels, the ~10K-feature budget) for
-each available engine:
+keystroke segments, 1 and 4 PPG channels, the ~10K-feature budget) and
+at the 4-channel, 480-sample full window that the negative bank's
+full-waveform extractor and every one-handed probe use, where ``fit``
+costs most. ``transform`` is timed for each available engine:
 
 - ``reference`` — the original per-kernel Python loop, kept as
   ``MiniRocket._transform_reference`` for parity testing;
@@ -50,6 +52,7 @@ FULL_CASES = (
     ("smoke-1ch", 32, 1, 90, 840, 2),
     ("paper-1ch", 256, 1, 90, 9996, 5),
     ("paper-4ch", 256, 4, 90, 9996, 5),
+    ("full-4ch-480", 30, 4, 480, 9996, 5),
 )
 SMOKE_CASES = (("smoke-1ch", 32, 1, 90, 840, 2),)
 

@@ -350,16 +350,19 @@ async def _discard_input(
     """Half-close, then drop what the peer still sends until it closes,
     :data:`DISCARD_MAX_BYTES` are read or :data:`DISCARD_TIMEOUT_S`
     pass, whichever comes first."""
+
+    async def drop() -> None:
+        left = DISCARD_MAX_BYTES
+        while left > 0:
+            chunk = await reader.read(min(left, 64 * 1024))
+            if not chunk:
+                return
+            left -= len(chunk)
+
     writer.write_eof()
-    left = DISCARD_MAX_BYTES
     try:
-        async with asyncio.timeout(DISCARD_TIMEOUT_S):
-            while left > 0:
-                chunk = await reader.read(min(left, 64 * 1024))
-                if not chunk:
-                    return
-                left -= len(chunk)
-    except TimeoutError:
+        await asyncio.wait_for(drop(), DISCARD_TIMEOUT_S)
+    except asyncio.TimeoutError:
         pass
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.features import minirocket as mr
 
 #: The MiniRocket engines this host can run: the NumPy engine always
@@ -19,3 +21,8 @@ def simulate_host(engine, monkeypatch):
     """
     if engine == "vectorized":
         monkeypatch.setattr(mr._ckernel, "_load", lambda: None)
+
+
+def flat_biases(biases):
+    """Every bias of a fit, channel-major then dilation, as one vector."""
+    return np.concatenate([b.ravel() for channel in biases for b in channel])

@@ -21,7 +21,7 @@ from repro.features.minirocket import (
     _golden_quantiles,
 )
 
-from .conftest import ENGINES, simulate_host
+from .conftest import ENGINES, flat_biases, simulate_host
 
 
 def _data(n, channels, length, seed=0):
@@ -98,21 +98,59 @@ class TestEngineParity:
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
 
-class TestFitParity:
-    def test_biases_match_per_kernel_quantile_loop(self):
-        """The batched-quantile fit must reproduce the original
-        per-kernel ``np.quantile`` calls bit-for-bit."""
-        x = _data(8, 2, 90, seed=7)
-        rocket = MiniRocket(num_features=840, seed=0).fit(x)
+def assert_same_bits(got, expected):
+    """Bitwise equality up to the sign of a zero, the one difference
+    ``_row_quantiles`` documents (no PPV count can see it)."""
 
-        # Reimplementation of the original fit's bias computation,
-        # consuming the RNG in the same (channel-outer, dilation-inner)
-        # order.
-        rng = np.random.default_rng(0)
-        n, channels, length = x.shape
+    def bits(values):
+        return np.where(values == 0.0, 0.0, values).view(np.uint64)
+
+    np.testing.assert_array_equal(bits(got), bits(expected))
+
+
+class TestRowQuantiles:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        length=st.integers(min_value=9, max_value=700),
+        n_feat=st.integers(min_value=1, max_value=30),
+        kind=st.sampled_from(["normal", "ties", "constant", "zeros", "nan"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_per_row_quantile(self, length, n_feat, kind, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(NUM_KERNELS, length))
+        if kind == "ties":
+            rows = np.round(rows * 2.0) / 2.0
+        elif kind == "constant":
+            values = rng.choice([0.0, -0.0, 1.5, -3.0], size=(NUM_KERNELS, 1))
+            rows = np.repeat(values, length, axis=1)
+        elif kind == "zeros":
+            rows = rng.choice([0.0, -0.0, 1.0, -1.0], size=rows.shape)
+        elif kind == "nan":
+            rows[rng.integers(0, NUM_KERNELS, 3), rng.integers(0, length, 3)] = np.nan
+        q = _golden_quantiles(NUM_KERNELS * n_feat).reshape(NUM_KERNELS, n_feat)
+        q[0, 0], q[1, -1] = 0.0, 1.0
+        expected = np.array(
+            [np.quantile(rows[k], q[k]) for k in range(NUM_KERNELS)]
+        )
+        assert_same_bits(mr._row_quantiles(rows, q), expected)
+
+
+class TestFitParity:
+    @staticmethod
+    def _per_kernel_biases(rocket, x):
+        """The original fit's biases, shaped as ``rocket._biases``: one
+        ``np.quantile`` call per kernel, consuming the RNG in the same
+        (channel-outer, dilation-inner) order."""
+        rng = np.random.default_rng(rocket.seed)
+        n, channels, _ = x.shape
+        biases = []
         for ch in range(channels):
-            for d_idx, dilation in enumerate(rocket._dilations):
-                n_feat = int(rocket._features_per_dilation[d_idx])
+            channel_biases = []
+            for dilation, n_feat in zip(
+                rocket._dilations, rocket._features_per_dilation
+            ):
+                n_feat = int(n_feat)
                 example = x[int(rng.integers(0, n)), ch]
                 stack = mr._shifted_stack(example[np.newaxis, :], int(dilation))[
                     :, 0, :
@@ -126,9 +164,23 @@ class TestFitParity:
                         axis=0
                     )
                     expected[k] = np.quantile(conv, quantiles[k])
-                np.testing.assert_allclose(
-                    rocket._biases[ch][d_idx], expected, rtol=0, atol=0
-                )
+                channel_biases.append(expected)
+            biases.append(channel_biases)
+        return biases
+
+    def test_biases_match_per_kernel_quantile_loop(self):
+        """``fit`` must reproduce the original per-kernel
+        ``np.quantile`` calls bit for bit, on keystroke segments and on
+        the 480-sample full window."""
+        for num_features, channels, length in (
+            (840, 2, 90),
+            (9996, 4, 90),
+            (9996, 4, 480),
+        ):
+            x = _data(8, channels, length, seed=7)
+            rocket = MiniRocket(num_features=num_features, seed=0).fit(x)
+            expected = self._per_kernel_biases(rocket, x)
+            assert_same_bits(flat_biases(rocket._biases), flat_biases(expected))
 
 
 class TestAs3d:
